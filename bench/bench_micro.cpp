@@ -146,7 +146,7 @@ void BM_GlobalSerializationGraphCheck(benchmark::State& state) {
     q.fragment = rec.type_fragment;
     q.seq = id / 8 + 1;
     q.writes = {{static_cast<ObjectId>(rng.NextBelow(64)), id}};
-    history.RecordInstall(rec.home, q, id);
+    history.RecordInstall(rec.home, MakeQuasiRef(std::move(q)), id);
     ReadRecord r;
     r.reader = id;
     r.object = static_cast<ObjectId>(rng.NextBelow(64));

@@ -1,10 +1,37 @@
 #include "cc/lock_manager.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/logging.h"
 
 namespace fragdb {
+
+LockManager::HolderList::iterator LockManager::FindHolder(Entry& e,
+                                                          TxnId txn) {
+  return std::find_if(e.holders.begin(), e.holders.end(),
+                      [txn](const auto& h) { return h.first == txn; });
+}
+
+LockManager::HolderList::const_iterator LockManager::FindHolder(
+    const Entry& e, TxnId txn) {
+  return std::find_if(e.holders.begin(), e.holders.end(),
+                      [txn](const auto& h) { return h.first == txn; });
+}
+
+LockManager::Entry& LockManager::EntryFor(ResourceId resource) {
+  auto it = table_.lower_bound(resource);
+  if (it != table_.end() && it->first == resource) return it->second;
+  if (spare_.empty()) return table_.emplace_hint(it, resource, Entry{})->second;
+  Table::node_type node = std::move(spare_.back());
+  spare_.pop_back();
+  node.key() = resource;
+  return table_.insert(it, std::move(node))->second;
+}
+
+void LockManager::Park(Table::iterator it) {
+  spare_.push_back(table_.extract(it));
+}
 
 bool LockManager::Compatible(const Entry& e, TxnId txn, LockMode mode) const {
   for (const auto& [holder, h] : e.holders) {
@@ -33,8 +60,8 @@ void LockManager::ObserveRelease(const Holder& h, ResourceId resource) {
 
 void LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
                           GrantCallback cb) {
-  Entry& e = table_[resource];
-  auto held = e.holders.find(txn);
+  Entry& e = EntryFor(resource);
+  auto held = FindHolder(e, txn);
   if (held != e.holders.end()) {
     // Already held. Same or stronger mode => immediate grant.
     if (held->second.mode == LockMode::kExclusive ||
@@ -63,8 +90,7 @@ void LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   if (Compatible(e, txn, mode) &&
       (e.waiters.empty() ||
        (mode == LockMode::kShared && !exclusive_waiter_ahead))) {
-    Holder& h = e.holders[txn];
-    h.mode = mode;
+    Holder& h = e.holders.emplace_back(txn, Holder{mode, 0}).second;
     ObserveGrant(&h, resource, mode, -1);
     cb(Status::Ok());
     return;
@@ -81,7 +107,7 @@ void LockManager::PumpQueue(ResourceId resource) {
     if (it == table_.end()) return;
     Entry& e = it->second;
     if (e.waiters.empty()) {
-      if (e.holders.empty()) table_.erase(it);
+      if (e.holders.empty()) Park(it);
       return;
     }
     Request& front = e.waiters.front();
@@ -89,19 +115,18 @@ void LockManager::PumpQueue(ResourceId resource) {
     LockMode mode = front.mode;
     SimTime enqueued = front.enqueued;
     GrantCallback cb;
-    auto held = e.holders.find(txn);
+    auto held = FindHolder(e, txn);
     if (held != e.holders.end()) {
       // Upgrade request: grantable when requester is the sole holder.
       if (e.holders.size() != 1) return;
       held->second.mode = LockMode::kExclusive;
       cb = std::move(front.cb);
-      e.waiters.pop_front();
+      e.waiters.erase(e.waiters.begin());
       ObserveGrant(nullptr, resource, mode, enqueued);
     } else if (Compatible(e, txn, mode)) {
-      Holder& h = e.holders[txn];
-      h.mode = mode;
+      Holder& h = e.holders.emplace_back(txn, Holder{mode, 0}).second;
       cb = std::move(front.cb);
-      e.waiters.pop_front();
+      e.waiters.erase(e.waiters.begin());
       ObserveGrant(&h, resource, mode, enqueued);
     } else {
       return;
@@ -113,7 +138,7 @@ void LockManager::PumpQueue(ResourceId resource) {
 void LockManager::Release(TxnId txn, ResourceId resource) {
   auto it = table_.find(resource);
   if (it == table_.end()) return;
-  auto h = it->second.holders.find(txn);
+  auto h = FindHolder(it->second, txn);
   if (h == it->second.holders.end()) return;
   ObserveRelease(h->second, resource);
   it->second.holders.erase(h);
@@ -122,10 +147,11 @@ void LockManager::Release(TxnId txn, ResourceId resource) {
 
 void LockManager::ReleaseAll(TxnId txn) {
   // Collect affected resources first; PumpQueue may erase entries.
-  std::vector<ResourceId> held;
+  std::vector<ResourceId> held = std::move(release_scratch_);
+  held.clear();
   std::vector<std::pair<ResourceId, GrantCallback>> cancelled;
   for (auto& [resource, e] : table_) {
-    if (e.holders.count(txn) > 0) held.push_back(resource);
+    if (FindHolder(e, txn) != e.holders.end()) held.push_back(resource);
     for (auto wit = e.waiters.begin(); wit != e.waiters.end();) {
       if (wit->txn == txn) {
         cancelled.emplace_back(resource, std::move(wit->cb));
@@ -136,14 +162,15 @@ void LockManager::ReleaseAll(TxnId txn) {
     }
   }
   for (ResourceId r : held) {
-    Entry& e = table_[r];
-    auto h = e.holders.find(txn);
+    Entry& e = EntryFor(r);
+    auto h = FindHolder(e, txn);
     if (h != e.holders.end()) {
       ObserveRelease(h->second, r);
       e.holders.erase(h);
     }
     PumpQueue(r);
   }
+  release_scratch_ = std::move(held);
   for (auto& [resource, cb] : cancelled) {
     (void)resource;
     cb(Status::Aborted("lock request cancelled by ReleaseAll"));
@@ -222,11 +249,11 @@ TxnId LockManager::DetectAndResolveDeadlock() {
         ++wit;
       }
     }
-    if (e.holders.count(victim) > 0) held.push_back(resource);
+    if (FindHolder(e, victim) != e.holders.end()) held.push_back(resource);
   }
   for (ResourceId r : held) {
-    Entry& e = table_[r];
-    auto h = e.holders.find(victim);
+    Entry& e = EntryFor(r);
+    auto h = FindHolder(e, victim);
     if (h != e.holders.end()) {
       ObserveRelease(h->second, r);
       e.holders.erase(h);
@@ -243,7 +270,7 @@ TxnId LockManager::DetectAndResolveDeadlock() {
 bool LockManager::Holds(TxnId txn, ResourceId resource, LockMode mode) const {
   auto it = table_.find(resource);
   if (it == table_.end()) return false;
-  auto h = it->second.holders.find(txn);
+  auto h = FindHolder(it->second, txn);
   if (h == it->second.holders.end()) return false;
   return mode == LockMode::kShared || h->second.mode == LockMode::kExclusive;
 }

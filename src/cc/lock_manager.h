@@ -1,15 +1,15 @@
 #ifndef FRAGDB_CC_LOCK_MANAGER_H_
 #define FRAGDB_CC_LOCK_MANAGER_H_
 
-#include <deque>
 #include <functional>
 #include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
 #include "cc/transaction.h"
+#include "sim/event_fn.h"
 
 namespace fragdb {
 
@@ -24,9 +24,14 @@ enum class LockMode { kShared, kExclusive };
 /// immediately if the lock is granted, otherwise queues the request and
 /// invokes the callback when it is granted, cancelled, or chosen as a
 /// deadlock victim (Status::Aborted).
+///
+/// An uncontended acquire/release pair allocates nothing: callbacks are
+/// stored inline, holders and waiters are flat vectors, and the table
+/// entry of a resource that falls idle is parked for reuse instead of
+/// being freed (every replica install takes and drops a fragment lock).
 class LockManager {
  public:
-  using GrantCallback = std::function<void(Status)>;
+  using GrantCallback = InlineFn<void(Status)>;
 
   /// Observation hooks for the observability layer. `now` supplies the
   /// clock (the simulator's, injected so this layer stays sim-agnostic);
@@ -77,7 +82,10 @@ class LockManager {
   /// the semantics of a node crash, where pending requests simply die with
   /// the process. Continuations that would have fired are the caller's
   /// problem (the scheduler invalidates its own in the same wipe).
-  void Clear() { table_.clear(); }
+  void Clear() {
+    table_.clear();
+    spare_.clear();
+  }
 
   /// True if `txn` currently holds `resource` in at least `mode`.
   bool Holds(TxnId txn, ResourceId resource, LockMode mode) const;
@@ -100,12 +108,24 @@ class LockManager {
     // keep the original stamp so hold time covers the whole S->X span.
     SimTime granted_at = 0;
   };
+  using HolderList = std::vector<std::pair<TxnId, Holder>>;
   struct Entry {
-    // Current holders. Invariant: either one exclusive holder or any
-    // number of shared holders.
-    std::map<TxnId, Holder> holders;
-    std::deque<Request> waiters;
+    // Current holders, in grant order. Invariant: either one exclusive
+    // holder or any number of shared holders.
+    HolderList holders;
+    // FIFO wait queue (front = next to grant); short in practice.
+    std::vector<Request> waiters;
   };
+  using Table = std::map<ResourceId, Entry>;
+
+  static HolderList::iterator FindHolder(Entry& e, TxnId txn);
+  static HolderList::const_iterator FindHolder(const Entry& e, TxnId txn);
+
+  /// The entry for `resource`, reusing a parked node when one is free.
+  Entry& EntryFor(ResourceId resource);
+  /// Removes an idle entry from the table, parking its node (and the
+  /// capacity of its vectors) for the next resource that needs one.
+  void Park(Table::iterator it);
 
   /// Grants eligible waiters at the front of the queue.
   void PumpQueue(ResourceId resource);
@@ -119,7 +139,11 @@ class LockManager {
                     SimTime enqueued);
   void ObserveRelease(const Holder& h, ResourceId resource);
 
-  std::map<ResourceId, Entry> table_;
+  Table table_;
+  std::vector<Table::node_type> spare_;
+  /// ReleaseAll's list of held resources, kept between calls for its
+  /// capacity (a reentrant call works on a fresh vector).
+  std::vector<ResourceId> release_scratch_;
   Observer observer_;
 };
 

@@ -93,7 +93,7 @@ void Scheduler::ExecuteBody(TxnId id, const TxnSpec& spec,
       result.status = init_ok;
     } else {
       result.writes = std::move(*body_out);
-      if (!result.writes.empty() || !spec.read_only()) {
+      if (!spec.read_only()) {
         // Commit an update transaction (possibly with zero writes, which
         // still consumes a sequence number so replicas agree on history).
         result.frag_seq = seq_alloc ? seq_alloc() : 0;
@@ -104,12 +104,8 @@ void Scheduler::ExecuteBody(TxnId id, const TxnSpec& spec,
         quasi.origin_node = node_;
         quasi.origin_time = engine_->Now();
         quasi.writes = result.writes;
-        for (const WriteOp& w : result.writes) {
-          store_->Write(w.object, w.value, id, result.frag_seq, engine_->Now());
-        }
-        if (hooks_.on_install && !spec.read_only()) {
-          hooks_.on_install(node_, quasi, engine_->Now());
-        }
+        result.quasi = MakeQuasiRef(std::move(quasi));
+        Apply(result.quasi);
       }
       result.status = Status::Ok();
     }
@@ -183,49 +179,22 @@ void Scheduler::Prepare(TxnId id, TxnSpec spec, bool write_lock_preacquired,
                   });
 }
 
-void Scheduler::CommitPrepared(TxnId id, FragmentId fragment,
-                               const std::vector<WriteOp>& writes, SeqNum seq,
+void Scheduler::CommitPrepared(TxnId id, const QuasiRef& quasi,
                                bool release_locks) {
-  QuasiTxn quasi;
-  quasi.origin_txn = id;
-  quasi.fragment = fragment;
-  quasi.seq = seq;
-  quasi.origin_node = node_;
-  quasi.origin_time = engine_->Now();
-  quasi.writes = writes;
-  for (const WriteOp& w : writes) {
-    store_->Write(w.object, w.value, id, seq, engine_->Now());
+  Apply(quasi);
+  if (release_locks) locks_->ReleaseAll(id);
+}
+
+void Scheduler::Apply(const QuasiRef& quasi) {
+  for (const WriteOp& w : quasi->writes) {
+    store_->Write(w.object, w.value, quasi->origin_txn, quasi->seq,
+                  engine_->Now());
   }
   if (hooks_.on_install) hooks_.on_install(node_, quasi, engine_->Now());
-  if (release_locks) locks_->ReleaseAll(id);
 }
 
 void Scheduler::AbortPrepared(TxnId id, bool release_locks) {
   if (release_locks) locks_->ReleaseAll(id);
-}
-
-void Scheduler::Install(QuasiTxn quasi, TxnId install_id,
-                        std::function<void()> done) {
-  ResourceId resource = FragmentResource(quasi.fragment);
-  locks_->Acquire(
-      install_id, resource, LockMode::kExclusive,
-      [this, quasi = std::move(quasi), install_id,
-       done = std::move(done)](Status st) {
-        // Quasi-transactions are never deadlock victims: they request a
-        // single resource, so they cannot close a waits-for cycle.
-        FRAGDB_CHECK(st.ok());
-        engine_->AfterNode(node_, config_.install_time, [this, gen = generation_, quasi,
-                                           install_id, done] {
-          if (gen != generation_) return;  // node crashed meanwhile
-          for (const WriteOp& w : quasi.writes) {
-            store_->Write(w.object, w.value, quasi.origin_txn, quasi.seq,
-                          engine_->Now());
-          }
-          if (hooks_.on_install) hooks_.on_install(node_, quasi, engine_->Now());
-          locks_->ReleaseAll(install_id);
-          done();
-        });
-      });
 }
 
 }  // namespace fragdb

@@ -2,6 +2,7 @@
 #define FRAGDB_CC_TRANSACTION_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,29 @@ struct TxnSpec {
   bool read_only() const { return write_fragment == kInvalidFragment; }
 };
 
+/// A committed update transaction's effects, as shipped to remote replicas
+/// (§2.2: "quasi-transaction"). Remote nodes install the writes
+/// unconditionally and atomically, in `seq` order per fragment.
+struct QuasiTxn {
+  TxnId origin_txn = kInvalidTxn;
+  FragmentId fragment = kInvalidFragment;
+  SeqNum seq = 0;
+  NodeId origin_node = kInvalidNode;
+  SimTime origin_time = 0;
+  std::vector<WriteOp> writes;
+};
+
+/// One commit's quasi-transaction, shared read-only by everything that
+/// carries it: the broadcast payload, every replica's holdback and log,
+/// the install continuation and the verification history. A commit is
+/// installed at every replica, so sharing one immutable object instead of
+/// copying the write set per replica removes the per-install copies.
+using QuasiRef = std::shared_ptr<const QuasiTxn>;
+
+inline QuasiRef MakeQuasiRef(QuasiTxn quasi) {
+  return std::make_shared<const QuasiTxn>(std::move(quasi));
+}
+
 /// Outcome of a transaction, reported to the submitter's callback.
 struct TxnResult {
   TxnId id = kInvalidTxn;
@@ -55,18 +79,10 @@ struct TxnResult {
   SimTime finished_at = 0;
   /// Per-fragment commit sequence (update transactions only).
   SeqNum frag_seq = 0;
-};
-
-/// A committed update transaction's effects, as shipped to remote replicas
-/// (§2.2: "quasi-transaction"). Remote nodes install the writes
-/// unconditionally and atomically, in `seq` order per fragment.
-struct QuasiTxn {
-  TxnId origin_txn = kInvalidTxn;
-  FragmentId fragment = kInvalidFragment;
-  SeqNum seq = 0;
-  NodeId origin_node = kInvalidNode;
-  SimTime origin_time = 0;
-  std::vector<WriteOp> writes;
+  /// The committed quasi-transaction as installed at the home (update
+  /// transactions committed through Scheduler::RunLocal only); the
+  /// cluster logs and broadcasts this same object.
+  QuasiRef quasi;
 };
 
 /// Lock-table resource identifiers. FragDB locks at fragment granularity

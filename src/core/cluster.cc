@@ -702,24 +702,18 @@ void Cluster::ExecuteAndPropagate(TxnId id, NodeId node, const TxnSpec& spec,
         if (result.status.ok()) {
           MarkCommittedAt(node, id, result.frag_seq);
           if (!spec.read_only()) {
-            QuasiTxn quasi;
-            quasi.origin_txn = id;
-            quasi.fragment = spec.write_fragment;
-            quasi.seq = result.frag_seq;
-            quasi.origin_node = node;
-            quasi.origin_time = result.finished_at;
-            quasi.writes = result.writes;
             NodeRuntime& rt = *runtimes_[node];
-            rt.RecordLocalCommit(quasi);
+            rt.RecordLocalCommit(result.quasi);
             auto msg = std::make_shared<QuasiTxnMsg>();
-            msg->quasi = quasi;
+            msg->quasi = result.quasi;
             msg->epoch = rt.stream(spec.write_fragment).epoch;
             Status st = SendToReplicas(node, spec.write_fragment, msg);
             FRAGDB_CHECK(st.ok());
             if (tracing_active()) {
-              Trace("broadcast", node, spec.write_fragment, id, quasi.seq,
+              Trace("broadcast", node, spec.write_fragment, id,
+                    result.frag_seq,
                     "T" + std::to_string(id) +
-                        " seq=" + std::to_string(quasi.seq));
+                        " seq=" + std::to_string(result.frag_seq));
             }
           }
         }
@@ -978,13 +972,14 @@ void Cluster::ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
         auto result = std::make_shared<TxnResult>(std::move(prepared));
         result->frag_seq = seq;
 
-        QuasiTxn quasi;
-        quasi.origin_txn = id;
-        quasi.fragment = wf;
-        quasi.seq = seq;
-        quasi.origin_node = node;
-        quasi.origin_time = engine_->Now();
-        quasi.writes = result->writes;
+        QuasiTxn value;
+        value.origin_txn = id;
+        value.fragment = wf;
+        value.seq = seq;
+        value.origin_node = node;
+        value.origin_time = engine_->Now();
+        value.writes = result->writes;
+        QuasiRef quasi = MakeQuasiRef(std::move(value));
 
         auto prep = std::make_shared<QuasiPrepare>();
         prep->quasi = quasi;
@@ -1000,8 +995,7 @@ void Cluster::ExecuteMajority(TxnId id, NodeId node, const TxnSpec& spec,
         wait.on_majority = [this, id, node, wf, seq, quasi, release_locks,
                             result, done, after, key] {
           NodeRuntime& rt = *runtimes_[node];
-          rt.scheduler().CommitPrepared(id, wf, quasi.writes, seq,
-                                        release_locks);
+          rt.scheduler().CommitPrepared(id, quasi, release_locks);
           MarkCommittedAt(node, id, seq);
           rt.RecordLocalCommit(quasi);
           auto cmt = std::make_shared<QuasiCommit>();
@@ -1113,17 +1107,17 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
         auto result = std::make_shared<TxnResult>(std::move(prepared));
         result->frag_seq = seq;
 
-        QuasiTxn quasi;
-        quasi.origin_txn = id;
-        quasi.fragment = wf;
-        quasi.seq = seq;
-        quasi.origin_node = node;
-        quasi.origin_time = engine_->Now();
-        quasi.writes = result->writes;
+        QuasiTxn value;
+        value.origin_txn = id;
+        value.fragment = wf;
+        value.seq = seq;
+        value.origin_node = node;
+        value.origin_time = engine_->Now();
+        value.writes = result->writes;
+        QuasiRef quasi = MakeQuasiRef(std::move(value));
 
         const auto key = std::make_pair(wf, seq);
         PaxosInstance& inst = paxos_acceptors_[node][key];
-        inst.has_value = true;
         inst.value = quasi;
         inst.epoch = stream.epoch;
         inst.prepared_txn = id;
@@ -1189,7 +1183,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
           // amnesia-revived home could re-allocate the seq for a different
           // value — two values for one slot, and replica divergence. The
           // broadcast therefore waits out the group-commit fsync window.
-          d->OnPaxosSlotAllocated(quasi, stream.epoch);
+          d->OnPaxosSlotAllocated(*quasi, stream.epoch);
           engine_->AfterNode(node, config_.durability.wal_fsync_time,
                              std::move(broadcast));
         } else {
@@ -1201,7 +1195,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
 
 void Cluster::OnPaxosAccept(NodeId node, NodeId from, const PaxosAccept& msg) {
   (void)from;
-  const auto key = std::make_pair(msg.quasi.fragment, msg.quasi.seq);
+  const auto key = std::make_pair(msg.quasi->fragment, msg.quasi->seq);
   PaxosInstance& inst = paxos_acceptors_[node][key];
   if (inst.decided) {
     // Late proposer of an already-learned slot: teach it the outcome.
@@ -1213,8 +1207,7 @@ void Cluster::OnPaxosAccept(NodeId node, NodeId from, const PaxosAccept& msg) {
   }
   if (msg.ballot < inst.max_ballot) return;  // stale proposer
   inst.max_ballot = msg.ballot;
-  if (!inst.has_value) {
-    inst.has_value = true;
+  if (inst.value == nullptr) {
     inst.value = msg.quasi;
     inst.epoch = msg.epoch;
   }
@@ -1268,8 +1261,8 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
   if (inst.decided) return;
   inst.decided = true;
   paxos_waits_[node].erase({fragment, seq});
-  FRAGDB_CHECK(inst.has_value);
-  const TxnId txn = inst.value.origin_txn;
+  FRAGDB_CHECK(inst.value != nullptr);
+  const TxnId txn = inst.value->origin_txn;
   CommitDecisionRecord rec;
   rec.node = node;
   rec.fragment = fragment;
@@ -1281,9 +1274,8 @@ void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
   MarkCommittedAt(node, txn, seq);
   if (obs_) obs_->PaxosDecided(node)->Add();
   NodeRuntime& rt = *runtimes_[node];
-  if (inst.prepared_txn != kInvalidTxn && node == inst.value.origin_node) {
-    rt.scheduler().CommitPrepared(inst.prepared_txn, fragment,
-                                  inst.value.writes, seq,
+  if (inst.prepared_txn != kInvalidTxn && node == inst.value->origin_node) {
+    rt.scheduler().CommitPrepared(inst.prepared_txn, inst.value,
                                   inst.release_locks);
     rt.RecordLocalCommit(inst.value);
   } else {
@@ -1352,7 +1344,7 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
     inst.recovery_armed = false;
     return;
   }
-  if (!inst.has_value) {
+  if (inst.value == nullptr) {
     rearm();
     return;
   }
@@ -1394,7 +1386,7 @@ void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
   SendToReplicas(node, fragment, accept);
   if (obs_) obs_->PaxosRecoveryRounds(node)->Add();
   if (tracing_active()) {
-    Trace("paxos-recover", node, fragment, inst.value.origin_txn, seq,
+    Trace("paxos-recover", node, fragment, inst.value->origin_txn, seq,
           "ballot=" + std::to_string(ballot));
   }
   rearm();
@@ -1407,7 +1399,7 @@ void Cluster::ReschedulePaxosRecovery() {
   for (NodeId n = 0; n < static_cast<NodeId>(paxos_acceptors_.size()); ++n) {
     if (!topology_.IsNodeUp(n) || amnesia_down_[n]) continue;
     for (auto& [key, inst] : paxos_acceptors_[n]) {
-      if (inst.decided || !inst.has_value) continue;
+      if (inst.decided || inst.value == nullptr) continue;
       inst.strikes = 0;
       if (inst.recovery_armed) continue;
       inst.recovery_armed = true;
@@ -1428,22 +1420,22 @@ CheckReport Cluster::CheckCommitNonBlocking() const {
         if (seq <= s.applied_seq) continue;
         return CheckReport::Fail(
             "N" + std::to_string(n) + " holds T" +
-                std::to_string(quasi.origin_txn) + " (F" + std::to_string(f) +
+                std::to_string(quasi->origin_txn) + " (F" + std::to_string(f) +
                 " seq " + std::to_string(seq) +
                 ") prepared but undecided — a blocked commit",
-            {quasi.origin_txn});
+            {quasi->origin_txn});
       }
     }
   }
   for (NodeId n = 0; n < static_cast<NodeId>(paxos_acceptors_.size()); ++n) {
     for (const auto& [key, inst] : paxos_acceptors_[n]) {
-      if (inst.decided || !inst.has_value) continue;
+      if (inst.decided || inst.value == nullptr) continue;
       return CheckReport::Fail(
           "N" + std::to_string(n) + " holds an undecided Paxos slot (F" +
               std::to_string(key.first) + " seq " +
               std::to_string(key.second) + ") for T" +
-              std::to_string(inst.value.origin_txn),
-          {inst.value.origin_txn});
+              std::to_string(inst.value->origin_txn),
+          {inst.value->origin_txn});
     }
   }
   return CheckReport::Pass();
@@ -1544,17 +1536,10 @@ void Cluster::CommitRepackaged(NodeId home, FragmentId fragment,
         [this, id, home, fragment, then](TxnResult result) {
           if (result.status.ok()) {
             MarkCommittedAt(home, id, result.frag_seq);
-            QuasiTxn quasi;
-            quasi.origin_txn = id;
-            quasi.fragment = fragment;
-            quasi.seq = result.frag_seq;
-            quasi.origin_node = home;
-            quasi.origin_time = result.finished_at;
-            quasi.writes = result.writes;
             NodeRuntime& rt = *runtimes_[home];
-            rt.RecordLocalCommit(quasi);
+            rt.RecordLocalCommit(result.quasi);
             auto msg = std::make_shared<QuasiTxnMsg>();
-            msg->quasi = quasi;
+            msg->quasi = result.quasi;
             msg->epoch = rt.stream(fragment).epoch;
             Status st = SendToReplicas(home, fragment, msg);
             FRAGDB_CHECK(st.ok());
@@ -1836,12 +1821,11 @@ void Cluster::OnLocalReplayDone(NodeId node) {
   ReschedulePaxosRecovery();
 }
 
-void Cluster::NotePaxosInDoubt(NodeId node, const QuasiTxn& quasi,
+void Cluster::NotePaxosInDoubt(NodeId node, const QuasiRef& quasi,
                                Epoch epoch) {
-  paxos_indoubt_[node][quasi.fragment].insert(quasi.seq);
-  PaxosInstance& inst = paxos_acceptors_[node][{quasi.fragment, quasi.seq}];
-  if (!inst.has_value) {
-    inst.has_value = true;
+  paxos_indoubt_[node][quasi->fragment].insert(quasi->seq);
+  PaxosInstance& inst = paxos_acceptors_[node][{quasi->fragment, quasi->seq}];
+  if (inst.value == nullptr) {
     inst.value = quasi;
     inst.epoch = epoch;
   }
@@ -1890,7 +1874,7 @@ CheckpointImage Cluster::CaptureCheckpoint(NodeId node) {
     for (auto it = s.log.begin(); it != s.log.end(); ++it) {
       sc.log.push_back(it->value);
     }
-    image.streams.push_back(sc);
+    image.streams.push_back(std::move(sc));
   }
   return image;
 }

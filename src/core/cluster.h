@@ -348,7 +348,7 @@ class Cluster {
   /// outcome is not (yet) in the local state: the slot is in doubt at the
   /// revived home until its decision is observed, and the value is
   /// re-seated so the home can propose it in recovery rounds.
-  void NotePaxosInDoubt(NodeId node, const QuasiTxn& quasi, Epoch epoch);
+  void NotePaxosInDoubt(NodeId node, const QuasiRef& quasi, Epoch epoch);
   /// Snapshot of `node`'s recoverable state (checkpoint capture).
   CheckpointImage CaptureCheckpoint(NodeId node);
 
@@ -428,9 +428,8 @@ class Cluster {
   /// ballot decide commit.
   struct PaxosInstance {
     uint64_t max_ballot = 0;
-    bool has_value = false;
     bool decided = false;
-    QuasiTxn value;
+    QuasiRef value;  // nullptr until this node learns the slot's value
     Epoch epoch = 0;
     /// Origin home only: the scheduler-prepared transaction to commit on
     /// decide, and whether CommitPrepared should release its locks.

@@ -18,13 +18,15 @@ inline size_t QuasiTxnWireSize(const QuasiTxn& q) {
 }
 
 /// A quasi-transaction plus its stream position, as broadcast by the home
-/// node (§2.2: "(T; d1,v1; d2,v2; ...)").
+/// node (§2.2: "(T; d1,v1; d2,v2; ...)"). Messages carry the commit's
+/// shared QuasiRef: the wire size is that of the full quasi-transaction,
+/// but no replica copies it.
 struct QuasiTxnMsg : MessagePayload {
   const char* TypeName() const override { return "quasi"; }
-  QuasiTxn quasi;
+  QuasiRef quasi;
   Epoch epoch = 0;
 
-  size_t ByteSize() const override { return QuasiTxnWireSize(quasi); }
+  size_t ByteSize() const override { return QuasiTxnWireSize(*quasi); }
 };
 
 /// §4.1 remote read-lock protocol.
@@ -48,9 +50,9 @@ struct ReadLockRelease : MessagePayload {
 /// §4.4.1 majority-commit protocol: prepare / ack / commit.
 struct QuasiPrepare : MessagePayload {
   const char* TypeName() const override { return "prepare"; }
-  QuasiTxn quasi;
+  QuasiRef quasi;
   Epoch epoch = 0;
-  size_t ByteSize() const override { return QuasiTxnWireSize(quasi); }
+  size_t ByteSize() const override { return QuasiTxnWireSize(*quasi); }
 };
 struct QuasiAck : MessagePayload {
   const char* TypeName() const override { return "ack"; }
@@ -91,11 +93,11 @@ struct FetchMissing : MessagePayload {
 struct MissingData : MessagePayload {
   const char* TypeName() const override { return "missing-data"; }
   FragmentId fragment = kInvalidFragment;
-  std::vector<QuasiTxn> quasis;
+  std::vector<QuasiRef> quasis;
   int64_t move_id = 0;
   size_t ByteSize() const override {
     size_t n = 32;
-    for (const auto& q : quasis) n += QuasiTxnWireSize(q);
+    for (const auto& q : quasis) n += QuasiTxnWireSize(*q);
     return n;
   }
 };
@@ -109,10 +111,10 @@ struct M0Msg : MessagePayload {
   NodeId new_home = kInvalidNode;
   Epoch new_epoch = 0;
   SeqNum base_seq = 0;  // "i": last old-stream txn installed at new home
-  std::vector<QuasiTxn> old_stream;  // T1..Ti
+  std::vector<QuasiRef> old_stream;  // T1..Ti
   size_t ByteSize() const override {
     size_t n = 48;
-    for (const auto& q : old_stream) n += QuasiTxnWireSize(q);
+    for (const auto& q : old_stream) n += QuasiTxnWireSize(*q);
     return n;
   }
 };
@@ -121,9 +123,9 @@ struct M0Msg : MessagePayload {
 /// new home instead of processing it (protocol step B(2)).
 struct ForwardMissing : MessagePayload {
   const char* TypeName() const override { return "forward-missing"; }
-  QuasiTxn quasi;
+  QuasiRef quasi;
   Epoch old_epoch = 0;
-  size_t ByteSize() const override { return QuasiTxnWireSize(quasi); }
+  size_t ByteSize() const override { return QuasiTxnWireSize(*quasi); }
 };
 
 /// Quorum reads (ControlOption::kQuorum): the reading node asks each
@@ -167,10 +169,10 @@ struct QuorumAppliedAck : MessagePayload {
 struct PaxosAccept : MessagePayload {
   const char* TypeName() const override { return "paxos-accept"; }
   uint64_t ballot = 0;
-  QuasiTxn quasi;
+  QuasiRef quasi;
   Epoch epoch = 0;
   NodeId proposer = kInvalidNode;
-  size_t ByteSize() const override { return 16 + QuasiTxnWireSize(quasi); }
+  size_t ByteSize() const override { return 16 + QuasiTxnWireSize(*quasi); }
 };
 
 struct PaxosAccepted : MessagePayload {
@@ -216,7 +218,7 @@ struct RecoveryFragmentState {
   Epoch epoch = 0;
   SeqNum epoch_base = 0;
   SeqNum applied_seq = 0;
-  std::vector<QuasiTxn> quasis;
+  std::vector<QuasiRef> quasis;
 };
 
 struct RecoveryReply : MessagePayload {
@@ -228,7 +230,7 @@ struct RecoveryReply : MessagePayload {
     size_t n = 24;
     for (const auto& f : fragments) {
       n += 28;
-      for (const auto& q : f.quasis) n += QuasiTxnWireSize(q);
+      for (const auto& q : f.quasis) n += QuasiTxnWireSize(*q);
     }
     return n;
   }

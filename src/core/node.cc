@@ -33,7 +33,7 @@ NodeRuntime::NodeRuntime(Cluster* cluster, NodeId id)
       }
     }
   };
-  hooks.on_install = [this](NodeId node, const QuasiTxn& quasi, SimTime at) {
+  hooks.on_install = [this](NodeId node, const QuasiRef& quasi, SimTime at) {
     cluster_->HistorySink(id_).RecordInstall(node, quasi, at);
   };
   scheduler_ = std::make_unique<Scheduler>(id, cluster->engine(), store_.get(),
@@ -113,13 +113,15 @@ void NodeRuntime::OnQuasi(const QuasiTxnMsg& msg) {
   EnqueueQuasi(msg.quasi, msg.epoch);
 }
 
-void NodeRuntime::EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch) {
-  FragmentStream& s = streams_[quasi.fragment];
+void NodeRuntime::EnqueueQuasi(const QuasiRef& quasi, Epoch epoch) {
+  const FragmentId f = quasi->fragment;
+  const SeqNum seq = quasi->seq;
+  FragmentStream& s = streams_[f];
   if (epoch < s.epoch) {
     // §4.4.3: an old-stream straggler arriving after the epoch moved on.
-    Result<NodeId> home = cluster_->catalog().HomeOfFragment(quasi.fragment);
+    Result<NodeId> home = cluster_->catalog().HomeOfFragment(f);
     if (home.ok() && *home == id_) {
-      RepackageMissing(quasi);
+      RepackageMissing(*quasi);
     } else if (home.ok()) {
       auto fwd = std::make_shared<ForwardMissing>();
       fwd->quasi = quasi;
@@ -136,30 +138,29 @@ void NodeRuntime::EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch) {
   }
   // During a pending transition, old-stream transactions past the base are
   // already doomed; forward them to the new home (§4.4.3 B(2)).
-  if (s.transition.active && quasi.seq > s.transition.base_seq) {
+  if (s.transition.active && seq > s.transition.base_seq) {
     auto fwd = std::make_shared<ForwardMissing>();
     fwd->quasi = quasi;
     fwd->old_epoch = epoch;
     cluster_->network().Send(id_, s.transition.new_home, fwd);
     return;
   }
-  if (quasi.seq <= s.applied_seq || s.log.Contains(quasi.seq) ||
-      s.holdback.Contains(quasi.seq)) {
+  if (seq <= s.applied_seq || s.log.Contains(seq) ||
+      s.holdback.Contains(seq)) {
     return;  // duplicate
   }
-  s.holdback.Put(quasi.seq, quasi);
-  gap_repair_strikes_[quasi.fragment] = 0;  // new evidence; repair retries
+  s.holdback.Put(seq, quasi);
+  gap_repair_strikes_[f] = 0;  // new evidence; repair retries
   if (ClusterInstruments* ins = cluster_->instruments()) {
-    ins->HoldbackDepth(id_, quasi.fragment)
-        ->Set(static_cast<int64_t>(s.holdback.size()));
+    ins->HoldbackDepth(id_, f)->Set(static_cast<int64_t>(s.holdback.size()));
   }
-  TryInstallNext(quasi.fragment);
+  TryInstallNext(f);
 }
 
 void NodeRuntime::TryInstallNext(FragmentId f) {
   FragmentStream& s = streams_[f];
   if (s.install_in_flight) return;
-  const QuasiTxn* next = s.holdback.Find(s.applied_seq + 1);
+  const QuasiRef* next = s.holdback.Find(s.applied_seq + 1);
   if (next == nullptr) {
     // Later sequences are waiting but the next expected one is missing —
     // with a lossy network that may be a dropped message, never to arrive.
@@ -167,61 +168,66 @@ void NodeRuntime::TryInstallNext(FragmentId f) {
     UpdateGapState(f);
     return;
   }
-  QuasiTxn quasi = *next;
-  s.holdback.Erase(quasi.seq);
+  QuasiRef quasi = *next;
+  s.holdback.Erase(quasi->seq);
   s.install_in_flight = true;
   UpdateGapState(f);
   TxnId install_id = cluster_->NewTxnId();
-  scheduler_->Install(quasi, install_id, [this, f, quasi] {
-    FragmentStream& stream = streams_[f];
-    stream.applied_seq = quasi.seq;
-    stream.log.Put(quasi.seq, quasi);
-    stream.install_in_flight = false;
-    if (durability_) durability_->OnQuasiApplied(quasi, stream.epoch);
-    // Replication lag: commit at the origin to install here. The home's
-    // own (re)install of its quasi-transaction is not replication.
-    if (quasi.origin_node != id_) {
-      // Quorum writes count applied replicas, not received ones: the home
-      // defers the client until W replicas have actually installed, so the
-      // ack only leaves here once the install callback has run.
-      if (cluster_->ControlFor(f) == ControlOption::kQuorum) {
-        auto ack = std::make_shared<QuorumAppliedAck>();
-        ack->txn = quasi.origin_txn;
-        ack->fragment = f;
-        ack->seq = quasi.seq;
-        ack->acker = id_;
-        cluster_->network().Send(id_, quasi.origin_node, ack);
-      }
-      SimTime lag = cluster_->engine()->Now() - quasi.origin_time;
-      if (ClusterInstruments* ins = cluster_->instruments()) {
-        ins->ReplicationLag(id_, f)->Observe(lag);
-      }
-      if (ClusterTimelines* tl = cluster_->timelines()) {
-        tl->ReplicationLag(id_).Observe(cluster_->engine()->Now(), lag);
-      }
-      if (AvailabilityTracker* av = cluster_->availability()) {
-        av->OnInstallLag(id_, f, cluster_->engine()->Now(), lag);
-      }
+  scheduler_->Install(std::move(quasi), install_id,
+                      [this, f](const QuasiRef& quasi) {
+                        OnInstalled(f, quasi);
+                      });
+}
+
+void NodeRuntime::OnInstalled(FragmentId f, const QuasiRef& quasi) {
+  FragmentStream& stream = streams_[f];
+  stream.applied_seq = quasi->seq;
+  stream.log.Put(quasi->seq, quasi);
+  stream.install_in_flight = false;
+  if (durability_) durability_->OnQuasiApplied(*quasi, stream.epoch);
+  // Replication lag: commit at the origin to install here. The home's
+  // own (re)install of its quasi-transaction is not replication.
+  if (quasi->origin_node != id_) {
+    // Quorum writes count applied replicas, not received ones: the home
+    // defers the client until W replicas have actually installed, so the
+    // ack only leaves here once the install callback has run.
+    if (cluster_->ControlFor(f) == ControlOption::kQuorum) {
+      auto ack = std::make_shared<QuorumAppliedAck>();
+      ack->txn = quasi->origin_txn;
+      ack->fragment = f;
+      ack->seq = quasi->seq;
+      ack->acker = id_;
+      cluster_->network().Send(id_, quasi->origin_node, ack);
     }
+    SimTime lag = cluster_->engine()->Now() - quasi->origin_time;
     if (ClusterInstruments* ins = cluster_->instruments()) {
-      ins->AppliedSeq(id_, f)->Set(stream.applied_seq);
-      ins->HoldbackDepth(id_, f)
-          ->Set(static_cast<int64_t>(stream.holdback.size()));
+      ins->ReplicationLag(id_, f)->Observe(lag);
     }
     if (ClusterTimelines* tl = cluster_->timelines()) {
-      tl->HoldbackDepth(id_).Observe(
-          cluster_->engine()->Now(),
-          static_cast<int64_t>(stream.holdback.size()));
+      tl->ReplicationLag(id_).Observe(cluster_->engine()->Now(), lag);
     }
-    if (cluster_->tracing_active()) {
-      cluster_->Trace("install", id_, f, quasi.origin_txn, quasi.seq,
-                      "T" + std::to_string(quasi.origin_txn) +
-                          " seq=" + std::to_string(quasi.seq) + " at N" +
-                          std::to_string(id_));
+    if (AvailabilityTracker* av = cluster_->availability()) {
+      av->OnInstallLag(id_, f, cluster_->engine()->Now(), lag);
     }
-    OnAppliedAdvanced(f);
-    TryInstallNext(f);
-  });
+  }
+  if (ClusterInstruments* ins = cluster_->instruments()) {
+    ins->AppliedSeq(id_, f)->Set(stream.applied_seq);
+    ins->HoldbackDepth(id_, f)
+        ->Set(static_cast<int64_t>(stream.holdback.size()));
+  }
+  if (ClusterTimelines* tl = cluster_->timelines()) {
+    tl->HoldbackDepth(id_).Observe(
+        cluster_->engine()->Now(),
+        static_cast<int64_t>(stream.holdback.size()));
+  }
+  if (cluster_->tracing_active()) {
+    cluster_->Trace("install", id_, f, quasi->origin_txn, quasi->seq,
+                    "T" + std::to_string(quasi->origin_txn) +
+                        " seq=" + std::to_string(quasi->seq) + " at N" +
+                        std::to_string(id_));
+  }
+  OnAppliedAdvanced(f);
+  TryInstallNext(f);
 }
 
 void NodeRuntime::UpdateGapState(FragmentId f) {
@@ -273,9 +279,9 @@ void NodeRuntime::MaybeCompleteTransition(FragmentId f) {
   if (durability_) durability_->OnEpochChanged(f, s.epoch, s.epoch_base);
   auto fut = s.future.find(s.epoch);
   if (fut != s.future.end()) {
-    for (const QuasiTxn& quasi : fut->second) {
-      if (quasi.seq > s.applied_seq && !s.holdback.Contains(quasi.seq)) {
-        s.holdback.Put(quasi.seq, quasi);
+    for (const QuasiRef& quasi : fut->second) {
+      if (quasi->seq > s.applied_seq && !s.holdback.Contains(quasi->seq)) {
+        s.holdback.Put(quasi->seq, quasi);
       }
     }
     s.future.erase(fut);
@@ -283,13 +289,13 @@ void NodeRuntime::MaybeCompleteTransition(FragmentId f) {
   TryInstallNext(f);
 }
 
-void NodeRuntime::RecordLocalCommit(const QuasiTxn& quasi) {
-  FragmentStream& s = streams_[quasi.fragment];
-  s.log.Put(quasi.seq, quasi);
-  s.applied_seq = std::max(s.applied_seq, quasi.seq);
-  if (durability_) durability_->OnQuasiApplied(quasi, s.epoch);
+void NodeRuntime::RecordLocalCommit(const QuasiRef& quasi) {
+  FragmentStream& s = streams_[quasi->fragment];
+  s.log.Put(quasi->seq, quasi);
+  s.applied_seq = std::max(s.applied_seq, quasi->seq);
+  if (durability_) durability_->OnQuasiApplied(*quasi, s.epoch);
   if (ClusterInstruments* ins = cluster_->instruments()) {
-    ins->AppliedSeq(id_, quasi.fragment)->Set(s.applied_seq);
+    ins->AppliedSeq(id_, quasi->fragment)->Set(s.applied_seq);
   }
 }
 
@@ -326,20 +332,20 @@ void NodeRuntime::OnReadLockRelease(const ReadLockRelease& msg) {
 // --------------------------------------------------------------------------
 
 void NodeRuntime::OnPrepare(NodeId from, const QuasiPrepare& msg) {
-  FragmentStream& s = streams_[msg.quasi.fragment];
-  SeqNum seq = msg.quasi.seq;
+  FragmentStream& s = streams_[msg.quasi->fragment];
+  SeqNum seq = msg.quasi->seq;
   if (seq <= s.applied_seq || s.log.Contains(seq)) {
     // Already installed (duplicate); still acknowledge.
   } else if (s.early_commits.count(seq) > 0) {
     s.early_commits.erase(seq);
     s.holdback.Put(seq, msg.quasi);
-    TryInstallNext(msg.quasi.fragment);
+    TryInstallNext(msg.quasi->fragment);
   } else {
     s.prepared.Put(seq, msg.quasi);
   }
   auto ack = std::make_shared<QuasiAck>();
-  ack->txn = msg.quasi.origin_txn;
-  ack->fragment = msg.quasi.fragment;
+  ack->txn = msg.quasi->origin_txn;
+  ack->fragment = msg.quasi->fragment;
   ack->seq = seq;
   ack->acker = id_;
   cluster_->network().Send(id_, from, ack);
@@ -351,18 +357,18 @@ void NodeRuntime::OnAck(const QuasiAck& msg) {
 
 void NodeRuntime::OnCommit(const QuasiCommit& msg) {
   FragmentStream& s = streams_[msg.fragment];
-  const QuasiTxn* found = s.prepared.Find(msg.seq);
+  const QuasiRef* found = s.prepared.Find(msg.seq);
   if (found == nullptr) {
     if (msg.seq > s.applied_seq && !s.log.Contains(msg.seq)) {
       s.early_commits.insert(msg.seq);
     }
     return;
   }
-  QuasiTxn quasi = *found;
+  QuasiRef quasi = *found;
   s.prepared.Erase(msg.seq);
-  if (quasi.seq > s.applied_seq && !s.holdback.Contains(quasi.seq) &&
-      !s.log.Contains(quasi.seq)) {
-    s.holdback.Put(quasi.seq, quasi);
+  if (quasi->seq > s.applied_seq && !s.holdback.Contains(quasi->seq) &&
+      !s.log.Contains(quasi->seq)) {
+    s.holdback.Put(quasi->seq, quasi);
   }
   TryInstallNext(msg.fragment);
 }
@@ -401,7 +407,7 @@ void NodeRuntime::BeginOmitPrepEpoch(FragmentId fragment) {
 
   for (const auto& [seq, quasi] : leftover) {
     (void)seq;
-    RepackageMissing(quasi);
+    RepackageMissing(*quasi);
   }
 }
 
@@ -412,7 +418,7 @@ void NodeRuntime::OnM0(const M0Msg& msg) {
 
 bool NodeRuntime::BeginEpochTransition(
     FragmentId fragment, Epoch new_epoch, SeqNum base_seq, NodeId new_home,
-    const std::vector<QuasiTxn>& old_stream) {
+    const std::vector<QuasiRef>& old_stream) {
   FragmentStream& s = streams_[fragment];
   if (new_epoch <= s.epoch) return false;  // duplicate / superseded
   if (s.transition.active && new_epoch <= s.transition.new_epoch) {
@@ -423,10 +429,10 @@ bool NodeRuntime::BeginEpochTransition(
   s.transition.new_home = new_home;
   s.transition.active = true;
   // Catch up from the M0 content (§4.4.3 B(1)).
-  for (const QuasiTxn& quasi : old_stream) {
-    if (quasi.seq > s.applied_seq && !s.log.Contains(quasi.seq) &&
-        !s.holdback.Contains(quasi.seq)) {
-      s.holdback.Put(quasi.seq, quasi);
+  for (const QuasiRef& quasi : old_stream) {
+    if (quasi->seq > s.applied_seq && !s.log.Contains(quasi->seq) &&
+        !s.holdback.Contains(quasi->seq)) {
+      s.holdback.Put(quasi->seq, quasi);
     }
   }
   MaybeCompleteTransition(fragment);
@@ -435,10 +441,10 @@ bool NodeRuntime::BeginEpochTransition(
 
 void NodeRuntime::OnForwardMissing(const ForwardMissing& msg) {
   Result<NodeId> home =
-      cluster_->catalog().HomeOfFragment(msg.quasi.fragment);
+      cluster_->catalog().HomeOfFragment(msg.quasi->fragment);
   if (!home.ok()) return;
   if (*home == id_) {
-    RepackageMissing(msg.quasi);
+    RepackageMissing(*msg.quasi);
   } else {
     // The agent moved again; pass it along.
     auto fwd = std::make_shared<ForwardMissing>(msg);
@@ -571,7 +577,7 @@ void NodeRuntime::OnFetchMissing(NodeId from, const FetchMissing& msg) {
 }
 
 void NodeRuntime::OnMissingData(const MissingData& msg) {
-  for (const QuasiTxn& quasi : msg.quasis) {
+  for (const QuasiRef& quasi : msg.quasis) {
     EnqueueQuasi(quasi, streams_[msg.fragment].epoch);
   }
   // Installs advance asynchronously; OnAppliedAdvanced re-checks catch-up.
@@ -719,9 +725,9 @@ void NodeRuntime::OnGapRepairReply(const RecoveryReply& msg) {
       BeginEpochTransition(fs.fragment, fs.epoch, fs.epoch_base,
                            home.ok() ? *home : msg.replier, {});
     }
-    for (const QuasiTxn& q : fs.quasis) {
-      Epoch at = (fs.epoch > s.epoch && q.seq <= fs.epoch_base) ? s.epoch
-                                                                : fs.epoch;
+    for (const QuasiRef& q : fs.quasis) {
+      Epoch at = (fs.epoch > s.epoch && q->seq <= fs.epoch_base) ? s.epoch
+                                                                 : fs.epoch;
       EnqueueQuasi(q, at);
     }
   }

@@ -25,7 +25,9 @@ class NodeDurability;
 /// logs, prepared sets). Flat sorted-vector storage: sequence numbers are
 /// dense and mostly arrive in order, so the hot operations are appends
 /// and front lookups over contiguous memory (see docs/PERFORMANCE.md).
-using QuasiSeqMap = SeqMap<QuasiTxn>;
+/// Entries share the commit's QuasiRef with the message that brought it
+/// and with the history, so an entry is a seq plus one pointer.
+using QuasiSeqMap = SeqMap<QuasiRef>;
 
 /// Per-node, per-fragment state of the update stream: where this replica
 /// is in the fragment's quasi-transaction sequence, what is held back, and
@@ -45,7 +47,7 @@ struct FragmentStream {
   QuasiSeqMap holdback;
   /// Quasi-transactions from a future epoch, waiting for the M0 that opens
   /// it (defensive; FIFO channels normally deliver M0 first).
-  std::map<Epoch, std::vector<QuasiTxn>> future;
+  std::map<Epoch, std::vector<QuasiRef>> future;
   /// Applied lineage: seq -> quasi-transaction. Entries past an epoch
   /// transition's base are discarded (they left the official lineage).
   QuasiSeqMap log;
@@ -92,11 +94,11 @@ class NodeRuntime {
   /// or from §4.4 catch-up paths). Applies epoch rules: stale-epoch
   /// transactions are forwarded to the fragment's current home (§4.4.3
   /// B(2)) or repackaged if this node is the home (A(2)).
-  void EnqueueQuasi(const QuasiTxn& quasi, Epoch epoch);
+  void EnqueueQuasi(const QuasiRef& quasi, Epoch epoch);
 
   /// Records a locally committed transaction in this node's stream log
   /// (the home node's own install).
-  void RecordLocalCommit(const QuasiTxn& quasi);
+  void RecordLocalCommit(const QuasiRef& quasi);
 
   /// §4.4.3 A(2): repackage a missing old-stream transaction at the (new)
   /// home: drop overwritten writes, commit the rest as a fresh update
@@ -134,7 +136,7 @@ class NodeRuntime {
   /// epoch). Returns false if the transition is stale.
   bool BeginEpochTransition(FragmentId fragment, Epoch new_epoch,
                             SeqNum base_seq, NodeId new_home,
-                            const std::vector<QuasiTxn>& old_stream);
+                            const std::vector<QuasiRef>& old_stream);
 
   /// Anti-entropy: queries each remote home for the log suffix of every
   /// fragment this node replicates, unconditionally (no gap evidence
@@ -145,6 +147,8 @@ class NodeRuntime {
  private:
   // --- Stream machinery -------------------------------------------------
   void TryInstallNext(FragmentId f);
+  /// Completion of one replica install: the stream advances past it.
+  void OnInstalled(FragmentId f, const QuasiRef& quasi);
   void MaybeCompleteTransition(FragmentId f);
   void OnAppliedAdvanced(FragmentId f);
   /// Re-derives the availability tracker's holdback-gap flag for f (no-op

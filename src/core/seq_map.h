@@ -41,12 +41,13 @@ class SeqMap {
   iterator begin() { return entries_.begin(); }
   iterator end() { return entries_.end(); }
 
-  bool Contains(SeqNum seq) const {
-    size_t i = LowerBound(seq);
-    return i < entries_.size() && entries_[i].seq == seq;
-  }
+  /// Lookups answer "absent" in O(1) for a seq past the back — the
+  /// duplicate check of every freshly arrived quasi-transaction against
+  /// a log that only holds earlier seqs — and binary-search otherwise.
+  bool Contains(SeqNum seq) const { return Find(seq) != nullptr; }
 
   const T* Find(SeqNum seq) const {
+    if (entries_.empty() || entries_.back().seq < seq) return nullptr;
     size_t i = LowerBound(seq);
     if (i < entries_.size() && entries_[i].seq == seq) {
       return &entries_[i].value;

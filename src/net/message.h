@@ -9,9 +9,12 @@
 namespace fragdb {
 
 /// Base class for everything sent through the simulated network. Each
-/// protocol defines its own payload structs; receivers dispatch with
-/// dynamic_cast (message rates in the simulator are far below where that
-/// costs anything).
+/// protocol defines its own payload structs; receivers dispatch with a
+/// dynamic_cast chain (NodeRuntime::HandleMessage). That chain is not
+/// free: on the 32-node Paxos/quorum benchmark workload (`consensus`),
+/// __dynamic_cast, __do_dyncast and strcmp take about 15% of sampled CPU,
+/// since late entries in the chain pay up to 21 RTTI probes. ROADMAP's
+/// "one dispatcher" item replaces the chain with a type tag and a switch.
 struct MessagePayload {
   virtual ~MessagePayload() = default;
 

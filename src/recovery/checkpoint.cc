@@ -35,7 +35,8 @@ std::string CheckpointImage::Encode() const {
     PutI64(&p, s.applied_seq);
     PutI64(&p, s.next_seq);
     PutU32(&p, static_cast<uint32_t>(s.log.size()));
-    for (const QuasiTxn& q : s.log) {
+    for (const QuasiRef& ref : s.log) {
+      const QuasiTxn& q = *ref;
       PutI64(&p, q.origin_txn);
       PutI64(&p, q.seq);
       PutI32(&p, q.origin_node);
@@ -95,9 +96,9 @@ bool CheckpointImage::Decode(const std::string& bytes, CheckpointImage* out) {
     if (!r.ok || static_cast<size_t>(nlog) * 32 > payload.size()) {
       return false;
     }
-    s.log.resize(nlog);
+    s.log.reserve(nlog);
     for (uint32_t j = 0; j < nlog; ++j) {
-      QuasiTxn& q = s.log[j];
+      QuasiTxn q;
       q.fragment = s.fragment;
       q.origin_txn = r.I64();
       q.seq = r.I64();
@@ -112,6 +113,7 @@ bool CheckpointImage::Decode(const std::string& bytes, CheckpointImage* out) {
         q.writes[k].object = r.I64();
         q.writes[k].value = r.I64();
       }
+      s.log.push_back(MakeQuasiRef(std::move(q)));
     }
   }
   if (!r.ok || r.pos != payload.size()) return false;

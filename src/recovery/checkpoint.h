@@ -20,8 +20,9 @@ struct StreamCheckpoint {
   /// The applied lineage at checkpoint time. Without it, a revived node
   /// could no longer serve catch-up suffixes to replicas that fell behind
   /// before its crash (recovery replies and gap repair both read the
-  /// stream log, which is otherwise volatile).
-  std::vector<QuasiTxn> log;
+  /// stream log, which is otherwise volatile). Captured entries share the
+  /// live log's quasi-transactions; decoded ones are fresh.
+  std::vector<QuasiRef> log;
 };
 
 /// A full snapshot of one node's recoverable state: every object version

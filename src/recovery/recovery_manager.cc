@@ -79,7 +79,7 @@ void RecoveryManager::RestoreLocal(NodeId node, Session* session) {
       s.next_seq = sc.next_seq;
       // Reseat the applied lineage so the revived node can serve catch-up
       // suffixes (recovery replies, gap repair) for pre-crash seqs again.
-      for (const QuasiTxn& q : sc.log) s.log.Put(q.seq, q);
+      for (const QuasiRef& q : sc.log) s.log.Put(q->seq, q);
     }
   }
 
@@ -108,7 +108,8 @@ void RecoveryManager::RestoreLocal(NodeId node, Session* session) {
       // when the crash beat the accept broadcast.
       if (record.epoch == s.epoch && record.quasi.seq > s.applied_seq) {
         s.next_seq = std::max(s.next_seq, record.quasi.seq + 1);
-        cluster_->NotePaxosInDoubt(node, record.quasi, record.epoch);
+        cluster_->NotePaxosInDoubt(node, MakeQuasiRef(record.quasi),
+                                   record.epoch);
         ++session->stats.wal_records_replayed;
       } else {
         ++session->stats.wal_records_skipped;
@@ -126,7 +127,7 @@ void RecoveryManager::RestoreLocal(NodeId node, Session* session) {
       rt.store().Write(w.object, w.value, q.origin_txn, q.seq, now);
     }
     s.applied_seq = q.seq;
-    s.log.Put(q.seq, q);
+    s.log.Put(q.seq, MakeQuasiRef(q));
     ++session->stats.wal_records_replayed;
   }
   for (FragmentId f = 0; f < cluster_->catalog().fragment_count(); ++f) {
@@ -193,12 +194,12 @@ void RecoveryManager::OnReply(NodeId node, const RecoveryReply& msg) {
                               home.ok() ? *home : msg.replier, {});
     }
     session.stats.peer_quasis_fetched += fs.quasis.size();
-    for (const QuasiTxn& q : fs.quasis) {
+    for (const QuasiRef& q : fs.quasis) {
       // Old-lineage entries enqueue under the node's current epoch,
       // new-stream entries under the reply's; EnqueueQuasi's epoch rules
       // route both correctly (including mid-transition).
-      Epoch at = (fs.epoch > s.epoch && q.seq <= fs.epoch_base) ? s.epoch
-                                                                : fs.epoch;
+      Epoch at = (fs.epoch > s.epoch && q->seq <= fs.epoch_base) ? s.epoch
+                                                                 : fs.epoch;
       rt.EnqueueQuasi(q, at);
     }
     auto target = std::make_pair(fs.epoch, fs.applied_seq);

@@ -8,37 +8,52 @@
 
 namespace fragdb {
 
+template <typename Signature>
+class InlineFn;
+
 /// Move-only callable with small-buffer optimization, used for simulator
-/// events. The protocol code schedules millions of short-lived callbacks
-/// per run; `std::function` heap-allocates for anything beyond two or
-/// three captured words, which made allocation the dominant cost of the
-/// event queue. EventFn stores captures up to kInlineSize bytes inline in
-/// the queue's slab and only falls back to the heap for oversized closures
-/// (the rare multi-shared_ptr continuations of the move protocols).
+/// events (`EventFn`) and lock grants (`LockManager::GrantCallback`). The
+/// protocol code schedules millions of short-lived callbacks per run;
+/// `std::function` heap-allocates for anything beyond two captured words
+/// that are trivially copyable, which made allocation the dominant cost of
+/// the event queue. InlineFn stores captures up to kInlineSize bytes inline
+/// and only falls back to the heap for oversized closures (the rare
+/// multi-shared_ptr continuations of the move protocols, or closures that
+/// capture a whole TxnSpec).
 ///
 /// Semantics match the subset of std::function the simulator needs:
 /// construct from any callable, move, invoke once or many times, destroy.
 /// Copying is deliberately unsupported — events fire exactly once, and
 /// move-only storage admits callables std::function would reject.
-class EventFn {
+template <typename... Args>
+class InlineFn<void(Args...)> {
  public:
-  /// Sized so the common closures fit: a network Dispatch capture
-  /// (this + endpoints + timestamps + shared_ptr payload) is 40 bytes, a
-  /// node install continuation (this + fragment + QuasiTxn) is 72.
+  /// Sized so the hot closures fit: a network Dispatch capture (this +
+  /// endpoints + timestamps + shared_ptr payload) is 40 bytes; the replica
+  /// install's lock-grant callback and its continuation (scheduler,
+  /// generation, shared quasi-transaction, install id and a two-word
+  /// completion) are at most 56 (Scheduler::Install static_asserts this).
   static constexpr size_t kInlineSize = 80;
 
-  EventFn() = default;
+  /// True if a callable of type F is stored without a heap allocation.
+  template <typename F>
+  static constexpr bool kStoresInline =
+      sizeof(std::decay_t<F>) <= kInlineSize &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t);
+
+  InlineFn() = default;
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
+                !std::is_same_v<std::decay_t<F>, InlineFn> &&
+                std::is_invocable_r_v<void, std::decay_t<F>&, Args...>>>
+  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(std::max_align_t)) {
+    if constexpr (kStoresInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      invoke_ = [](void* p) { (*static_cast<D*>(p))(); };
+      invoke_ = [](void* p, Args... args) {
+        (*static_cast<D*>(p))(std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* self, void* dst) {
         D* d = static_cast<D*>(self);
         if (op == Op::kRelocate) ::new (dst) D(std::move(*d));
@@ -46,7 +61,9 @@ class EventFn {
       };
     } else {
       *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
-      invoke_ = [](void* p) { (**static_cast<D**>(p))(); };
+      invoke_ = [](void* p, Args... args) {
+        (**static_cast<D**>(p))(std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* self, void* dst) {
         D** d = static_cast<D**>(self);
         if (op == Op::kRelocate) {
@@ -58,9 +75,9 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { MoveFrom(other); }
+  InlineFn(InlineFn&& other) noexcept { MoveFrom(other); }
 
-  EventFn& operator=(EventFn&& other) noexcept {
+  InlineFn& operator=(InlineFn&& other) noexcept {
     if (this != &other) {
       Reset();
       MoveFrom(other);
@@ -68,14 +85,16 @@ class EventFn {
     return *this;
   }
 
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
+  InlineFn(const InlineFn&) = delete;
+  InlineFn& operator=(const InlineFn&) = delete;
 
-  ~EventFn() { Reset(); }
+  ~InlineFn() { Reset(); }
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
-  void operator()() { invoke_(buf_); }
+  void operator()(Args... args) {
+    invoke_(buf_, std::forward<Args>(args)...);
+  }
 
   /// Destroys the held callable (releasing its captures) without firing.
   void Reset() {
@@ -87,7 +106,7 @@ class EventFn {
  private:
   enum class Op { kRelocate, kDestroy };
 
-  void MoveFrom(EventFn& other) noexcept {
+  void MoveFrom(InlineFn& other) noexcept {
     if (other.manage_ != nullptr) {
       other.manage_(Op::kRelocate, other.buf_, buf_);
     }
@@ -98,9 +117,12 @@ class EventFn {
   }
 
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];
-  void (*invoke_)(void*) = nullptr;
+  void (*invoke_)(void*, Args...) = nullptr;
   void (*manage_)(Op, void* self, void* dst) = nullptr;
 };
+
+/// A simulator event: fires once, takes nothing.
+using EventFn = InlineFn<void()>;
 
 }  // namespace fragdb
 

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "common/logging.h"
+
 namespace fragdb {
 
 CheckReport CheckReport::Fail(std::string detail,
@@ -294,7 +296,7 @@ PredicateTimeline TracePredicate(const History& history,
     timeline.transitions.emplace_back(0, false);
   }
   for (const InstallRecord* rec : installs) {
-    for (const WriteOp& w : rec->writes) {
+    for (const WriteOp& w : rec->writes()) {
       if (values.count(w.object) > 0) values[w.object] = w.value;
     }
     bool now = eval();
@@ -311,7 +313,13 @@ PredicateTimeline TracePredicate(const History& history,
 
 void FifoOrderChecker::Observe(const Message& m) {
   ++observed_;
-  SimTime& last = last_sent_[{m.from, m.to}];
+  FRAGDB_CHECK(m.from >= 0 && m.to >= 0);
+  const auto to = static_cast<size_t>(m.to);
+  const auto from = static_cast<size_t>(m.from);
+  if (to >= last_sent_.size()) last_sent_.resize(to + 1);
+  std::vector<SimTime>& row = last_sent_[to];
+  if (from >= row.size()) row.resize(from + 1, 0);
+  SimTime& last = row[from];
   if (m.sent_at < last) {
     ++violations_;
     if (first_violation_.empty()) {

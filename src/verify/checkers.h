@@ -95,8 +95,10 @@ class FifoOrderChecker {
   uint64_t violations() const { return violations_; }
 
  private:
-  // Last observed sent_at per ordered channel.
-  std::map<std::pair<NodeId, NodeId>, SimTime> last_sent_;
+  // Last observed sent_at per ordered channel, as last_sent_[to][from]
+  // (rows and columns grow on demand; a per-destination shard under the
+  // parallel engine fills only its own row).
+  std::vector<std::vector<SimTime>> last_sent_;
   uint64_t observed_ = 0;
   uint64_t violations_ = 0;
   std::string first_violation_;

@@ -68,9 +68,12 @@ void History::AbsorbShard(History* shard) {
   decisions_.insert(decisions_.end(), shard->decisions_.begin(),
                     shard->decisions_.end());
   shard->decisions_.clear();
-  for (const auto& [node, count] : shard->next_node_order_) {
-    int64_t& mine = next_node_order_[node];
-    mine = std::max(mine, count);
+  if (next_node_order_.size() < shard->next_node_order_.size()) {
+    next_node_order_.resize(shard->next_node_order_.size(), 0);
+  }
+  for (size_t node = 0; node < shard->next_node_order_.size(); ++node) {
+    next_node_order_[node] =
+        std::max(next_node_order_[node], shard->next_node_order_[node]);
   }
 }
 
@@ -88,18 +91,21 @@ void History::RecordDecision(const CommitDecisionRecord& record) {
   decisions_.push_back(record);
 }
 
-void History::RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at) {
-  InstallRecord rec;
+void History::RecordInstall(NodeId node, const QuasiRef& quasi, SimTime at) {
+  FRAGDB_CHECK(node >= 0);
+  if (static_cast<size_t>(node) >= next_node_order_.size()) {
+    next_node_order_.resize(static_cast<size_t>(node) + 1, 0);
+  }
+  InstallRecord& rec = installs_.emplace_back();
   rec.node = node;
-  rec.writer = quasi.origin_txn;
-  rec.fragment = quasi.fragment;
-  rec.seq = quasi.seq;
-  rec.writes = quasi.writes;
+  rec.writer = quasi->origin_txn;
+  rec.fragment = quasi->fragment;
+  rec.seq = quasi->seq;
+  rec.quasi = quasi;
   rec.at = at;
-  rec.node_order = next_node_order_[node]++;
-  rec.origin_node = quasi.origin_node;
-  rec.origin_time = quasi.origin_time;
-  installs_.push_back(std::move(rec));
+  rec.node_order = next_node_order_[static_cast<size_t>(node)]++;
+  rec.origin_node = quasi->origin_node;
+  rec.origin_time = quasi->origin_time;
 }
 
 const TxnRecord* History::FindTxn(TxnId id) const {
@@ -138,7 +144,7 @@ std::vector<TxnId> History::UpdatersOf(FragmentId fragment) const {
 
 std::vector<WriteOp> History::WritesOf(TxnId writer) const {
   for (const InstallRecord& rec : installs_) {
-    if (rec.writer == writer) return rec.writes;
+    if (rec.writer == writer) return rec.writes();
   }
   return {};
 }
@@ -151,7 +157,7 @@ std::vector<std::pair<TxnId, SeqNum>> History::VersionsOf(
   // fresh sequence numbers, so ordering by seq stays total per fragment.
   std::set<std::pair<SeqNum, TxnId>> seen;
   for (const InstallRecord& rec : installs_) {
-    for (const WriteOp& w : rec.writes) {
+    for (const WriteOp& w : rec.writes()) {
       if (w.object == object) seen.emplace(rec.seq, rec.writer);
     }
   }

@@ -48,7 +48,9 @@ struct InstallRecord {
   TxnId writer = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
-  std::vector<WriteOp> writes;
+  /// The installed quasi-transaction: one object shared by the records of
+  /// every replica of the commit (and by the replicas' stream logs).
+  QuasiRef quasi;
   SimTime at = 0;
   int64_t node_order = 0;
   /// Where and when the quasi-transaction committed at its origin; a
@@ -56,6 +58,8 @@ struct InstallRecord {
   /// at - origin_time is its replication lag.
   NodeId origin_node = kInvalidNode;
   SimTime origin_time = 0;
+
+  const std::vector<WriteOp>& writes() const { return quasi->writes; }
 };
 
 /// A write that reached its write quorum (ControlOption::kQuorum): W
@@ -126,7 +130,7 @@ class History {
   void RecordRead(const ReadRecord& read);
 
   /// Records an install; assigns node_order automatically.
-  void RecordInstall(NodeId node, const QuasiTxn& quasi, SimTime at);
+  void RecordInstall(NodeId node, const QuasiRef& quasi, SimTime at);
 
   void RecordQuorumWrite(const QuorumWriteRecord& record);
   void RecordQuorumRead(const QuorumReadRecord& record);
@@ -169,7 +173,8 @@ class History {
   std::vector<QuorumWriteRecord> quorum_writes_;
   std::vector<QuorumReadRecord> quorum_reads_;
   std::vector<CommitDecisionRecord> decisions_;
-  std::map<NodeId, int64_t> next_node_order_;
+  /// Next node_order per node, indexed by NodeId (grown on demand).
+  std::vector<int64_t> next_node_order_;
 };
 
 }  // namespace fragdb

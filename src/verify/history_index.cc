@@ -14,8 +14,11 @@ HistoryIndex::HistoryIndex(const History& history) : history_(&history) {
   // object, so file such an object (and its reads) under each.
   std::map<ObjectId, std::set<FragmentId>> fragments_of;
   for (const InstallRecord& rec : history.installs()) {
-    writes_.try_emplace(rec.writer, &rec.writes);
-    for (const WriteOp& w : rec.writes) {
+    auto [it, fresh] = writes_.try_emplace(rec.writer, &rec.writes());
+    // The replicas of one commit share its quasi-transaction: a record
+    // whose write set is the very one already indexed adds nothing.
+    if (!fresh && it->second == &rec.writes()) continue;
+    for (const WriteOp& w : rec.writes()) {
       seen[w.object].emplace(rec.seq, rec.writer);
       fragments_of[w.object].insert(rec.fragment);
     }

@@ -23,7 +23,7 @@ struct HistoryBuilder {
     q.fragment = f;
     q.seq = seq;
     q.writes = std::move(writes);
-    h.RecordInstall(0, q, 0);
+    h.RecordInstall(0, MakeQuasiRef(q), 0);
   }
   void Read(TxnId reader, ObjectId object, TxnId vwriter, SeqNum vseq) {
     ReadRecord r;

@@ -27,7 +27,7 @@ struct DiagHistory {
     q.fragment = 0;
     q.seq = 3;
     q.writes = {{0, 7}, {1, 8}};
-    h.RecordInstall(0, q, 10);
+    h.RecordInstall(0, MakeQuasiRef(q), 10);
   }
 };
 

@@ -149,7 +149,9 @@ TEST(EventQueueTest, MassCancelCompactsHeap) {
   for (int i = 0; i < n; ++i) ids.push_back(q.Schedule(1000000 + i, [] {}));
   // Keep every 100th event; cancel the rest.
   for (int i = 0; i < n; ++i) {
-    if (i % 100 != 0) EXPECT_TRUE(q.Cancel(ids[i]));
+    if (i % 100 != 0) {
+      EXPECT_TRUE(q.Cancel(ids[i]));
+    }
   }
   EXPECT_EQ(q.size(), static_cast<size_t>(n / 100));
   // Compaction bounds the heap: at most one dead node per live one (plus

@@ -5,7 +5,7 @@
 namespace fragdb {
 namespace {
 
-QuasiTxn MakeQuasi(TxnId txn, FragmentId f, SeqNum seq,
+QuasiRef MakeQuasi(TxnId txn, FragmentId f, SeqNum seq,
                    std::vector<WriteOp> writes) {
   QuasiTxn q;
   q.origin_txn = txn;
@@ -13,7 +13,7 @@ QuasiTxn MakeQuasi(TxnId txn, FragmentId f, SeqNum seq,
   q.seq = seq;
   q.origin_node = 0;
   q.writes = std::move(writes);
-  return q;
+  return MakeQuasiRef(std::move(q));
 }
 
 TEST(HistoryTest, RegisterAndCommit) {

@@ -5,6 +5,12 @@
 namespace fragdb {
 namespace {
 
+/// A key with no label (the label stays empty, spelled out once here).
+MetricKey Key(std::string name, NodeId node = kInvalidNode,
+              FragmentId fragment = kInvalidFragment) {
+  return MetricKey{std::move(name), node, fragment, ""};
+}
+
 TEST(HistogramTest, ObserveAndStats) {
   Histogram h(std::vector<int64_t>{10, 20, 40});
   h.Observe(5);
@@ -88,7 +94,7 @@ TEST(HistogramTest, MergeAddsBucketwise) {
 }
 
 TEST(MetricKeyTest, ToStringFormats) {
-  MetricKey plain{"txns_total"};
+  MetricKey plain = Key("txns_total");
   EXPECT_EQ(plain.ToString(), "txns_total");
   MetricKey scoped{"lag_us", 1, 2, "quasi"};
   EXPECT_EQ(scoped.ToString(), "lag_us{node=1,fragment=2,label=quasi}");
@@ -96,19 +102,19 @@ TEST(MetricKeyTest, ToStringFormats) {
 
 TEST(MetricsRegistryTest, HandlesAreStableAndSnapshotFreezes) {
   MetricsRegistry reg;
-  Counter* c = reg.GetCounter({"events_total"});
-  EXPECT_EQ(c, reg.GetCounter({"events_total"}));
+  Counter* c = reg.GetCounter(Key("events_total"));
+  EXPECT_EQ(c, reg.GetCounter(Key("events_total")));
   c->Add(3);
-  reg.GetGauge({"depth", 0})->Set(-4);
-  reg.GetHistogram({"latency_us", 0})->Observe(25);
+  reg.GetGauge(Key("depth", 0))->Set(-4);
+  reg.GetHistogram(Key("latency_us", 0))->Observe(25);
   EXPECT_EQ(reg.series_count(), 3u);
 
   MetricsSnapshot snap = reg.Snapshot();
   c->Add(10);  // must not affect the frozen copy
-  const MetricEntry* e = snap.Find({"events_total"});
+  const MetricEntry* e = snap.Find(Key("events_total"));
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->counter, 3u);
-  const MetricEntry* g = snap.Find({"depth", 0});
+  const MetricEntry* g = snap.Find(Key("depth", 0));
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->gauge, -4);
   EXPECT_EQ(snap.HistogramCount("latency_us"), 1u);
@@ -117,12 +123,12 @@ TEST(MetricsRegistryTest, HandlesAreStableAndSnapshotFreezes) {
 
 MetricsSnapshot SampleSnapshot() {
   MetricsRegistry reg;
-  reg.GetCounter({"txn_committed_total", 0})->Add(7);
+  reg.GetCounter(Key("txn_committed_total", 0))->Add(7);
   reg.GetCounter({"messages_sent_total", kInvalidNode, kInvalidFragment,
                   "quasi"})
       ->Add(42);
-  reg.GetGauge({"applied_seq", 1, 2})->Set(13);
-  Histogram* h = reg.GetHistogram({"commit_latency_us", 0});
+  reg.GetGauge(Key("applied_seq", 1, 2))->Set(13);
+  Histogram* h = reg.GetHistogram(Key("commit_latency_us", 0));
   h->Observe(120);
   h->Observe(4500);
   return reg.Snapshot();
@@ -138,7 +144,7 @@ TEST(MetricsSnapshotTest, TextRoundTrip) {
   EXPECT_EQ(parsed->CounterTotal("messages_sent_total"), 42u);
   EXPECT_EQ(parsed->HistogramCount("commit_latency_us"), 2u);
   EXPECT_EQ(parsed->HistogramMax("commit_latency_us"), 4500);
-  const MetricEntry* g = parsed->Find({"applied_seq", 1, 2});
+  const MetricEntry* g = parsed->Find(Key("applied_seq", 1, 2));
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->gauge, 13);
 }
@@ -151,16 +157,16 @@ TEST(MetricsSnapshotTest, FromTextRejectsGarbage) {
 TEST(MetricsSnapshotTest, MergeAddsAndInserts) {
   MetricsSnapshot a = SampleSnapshot();
   MetricsRegistry reg;
-  reg.GetCounter({"txn_committed_total", 0})->Add(3);
-  reg.GetCounter({"txn_committed_total", 1})->Add(5);  // new series
-  reg.GetHistogram({"commit_latency_us", 0})->Observe(80);
+  reg.GetCounter(Key("txn_committed_total", 0))->Add(3);
+  reg.GetCounter(Key("txn_committed_total", 1))->Add(5);  // new series
+  reg.GetHistogram(Key("commit_latency_us", 0))->Observe(80);
   MetricsSnapshot b = reg.Snapshot();
 
   a.Merge(b);
-  const MetricEntry* c0 = a.Find({"txn_committed_total", 0});
+  const MetricEntry* c0 = a.Find(Key("txn_committed_total", 0));
   ASSERT_NE(c0, nullptr);
   EXPECT_EQ(c0->counter, 10u);
-  const MetricEntry* c1 = a.Find({"txn_committed_total", 1});
+  const MetricEntry* c1 = a.Find(Key("txn_committed_total", 1));
   ASSERT_NE(c1, nullptr);
   EXPECT_EQ(c1->counter, 5u);
   EXPECT_EQ(a.HistogramCount("commit_latency_us"), 3u);

@@ -28,7 +28,7 @@ TEST(TracePredicateTest, TracksFlipsInInstallOrder) {
     q.fragment = f;
     q.seq = seq;
     q.writes = {{x, v}};
-    h.RecordInstall(0, q, at);
+    h.RecordInstall(0, MakeQuasiRef(q), at);
   };
   install(1, 1, -3, 10);  // violates x >= 0
   install(2, 2, 7, 20);   // restores it
@@ -53,7 +53,7 @@ TEST(TracePredicateTest, OtherNodesUnaffected) {
   q.fragment = f;
   q.seq = 1;
   q.writes = {{x, -1}};
-  h.RecordInstall(0, q, 10);  // only node 0
+  h.RecordInstall(0, MakeQuasiRef(q), 10);  // only node 0
   ConsistencyPredicate nonneg{
       "x>=0", {x}, [](const std::vector<Value>& v) { return v[0] >= 0; }};
   EXPECT_EQ(TracePredicate(h, catalog, nonneg, 0).violations, 1);

@@ -187,7 +187,7 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   applied.origin_node = 1;
   applied.origin_time = 777;
   applied.writes = {{3, 64}, {4, -1}};
-  stream.log.push_back(applied);
+  stream.log.push_back(MakeQuasiRef(applied));
   image.streams = {stream};
 
   CheckpointImage out;
@@ -205,14 +205,14 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(out.StreamFor(0).next_seq, 10);
   // The applied lineage rides along so a revived node can serve suffixes.
   ASSERT_EQ(out.streams[0].log.size(), 1u);
-  EXPECT_EQ(out.streams[0].log[0].origin_txn, 41);
-  EXPECT_EQ(out.streams[0].log[0].fragment, 0);
-  EXPECT_EQ(out.streams[0].log[0].seq, 9);
-  EXPECT_EQ(out.streams[0].log[0].origin_node, 1);
-  EXPECT_EQ(out.streams[0].log[0].origin_time, 777);
-  ASSERT_EQ(out.streams[0].log[0].writes.size(), 2u);
-  EXPECT_EQ(out.streams[0].log[0].writes[1].object, 4);
-  EXPECT_EQ(out.streams[0].log[0].writes[1].value, -1);
+  EXPECT_EQ(out.streams[0].log[0]->origin_txn, 41);
+  EXPECT_EQ(out.streams[0].log[0]->fragment, 0);
+  EXPECT_EQ(out.streams[0].log[0]->seq, 9);
+  EXPECT_EQ(out.streams[0].log[0]->origin_node, 1);
+  EXPECT_EQ(out.streams[0].log[0]->origin_time, 777);
+  ASSERT_EQ(out.streams[0].log[0]->writes.size(), 2u);
+  EXPECT_EQ(out.streams[0].log[0]->writes[1].object, 4);
+  EXPECT_EQ(out.streams[0].log[0]->writes[1].value, -1);
   // Absent fragments decode to defaults.
   EXPECT_EQ(out.StreamFor(3).epoch, 0);
 }
@@ -509,6 +509,54 @@ TEST_F(RecoveryFixture, SetNodeUpRoutesAmnesiaNodesThroughRecovery) {
   ASSERT_NE(cluster->LastRecovery(4), nullptr);
   EXPECT_TRUE(cluster->LastRecovery(4)->ran);
   ExpectAllReplicasRead(3);
+}
+
+TEST_F(RecoveryFixture, CheckpointRestoredLogServesCatchUpAndGapRepair) {
+  Build();
+  // Every broadcast is lost: only the home (node 0) holds seqs 1..4.
+  cluster->network().SetLossProbability(1.0, /*seed=*/3);
+  for (int i = 0; i < 4; ++i) Update(1);
+  cluster->RunToQuiescence();
+  cluster->network().SetLossProbability(0.0, /*seed=*/3);
+  ASSERT_EQ(cluster->ReadAt(0, x), 4);
+  for (NodeId n = 1; n < 5; ++n) ASSERT_EQ(cluster->ReadAt(n, x), 0);
+
+  // Checkpoint the home (truncating its WAL), then wipe its memory: the
+  // revived log comes from the checkpoint alone.
+  cluster->durability(0)->ForceCheckpoint();
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(cluster->CrashNode(0, CrashMode::kAmnesia).ok());
+  RecoveryStats home;
+  ASSERT_TRUE(
+      cluster->ReviveNode(0, [&](const RecoveryStats& s) { home = s; }).ok());
+  cluster->RunToQuiescence();
+  EXPECT_TRUE(home.checkpoint_loaded);
+  EXPECT_EQ(home.wal_records_replayed, 0u);
+  const QuasiSeqMap& log = cluster->runtime(0).stream(frag).log;
+  ASSERT_EQ(log.size(), 4u);
+
+  // Catch-up: node 1 loses its memory too; its recovery fetches the
+  // suffix from the home's checkpoint-restored log, sharing its entries.
+  ASSERT_TRUE(cluster->CrashNode(1, CrashMode::kAmnesia).ok());
+  RecoveryStats replica;
+  ASSERT_TRUE(cluster
+                  ->ReviveNode(1, [&](const RecoveryStats& s) { replica = s; })
+                  .ok());
+  cluster->RunToQuiescence();
+  EXPECT_EQ(replica.peer_quasis_fetched, 4u);
+  EXPECT_EQ(cluster->ReadAt(1, x), 4);
+  for (SeqNum seq = 1; seq <= 4; ++seq) {
+    const QuasiRef* mine = cluster->runtime(1).stream(frag).log.Find(seq);
+    ASSERT_NE(mine, nullptr) << seq;
+    EXPECT_EQ(mine->get(), log.Find(seq)->get()) << seq;
+  }
+  EXPECT_EQ(cluster->ReadAt(2, x), 0);  // no gap evidence: still behind
+
+  // Gap repair: the anti-entropy sweep fills the other replicas from the
+  // same restored log.
+  cluster->StartGapRepairSweep();
+  cluster->RunToQuiescence();
+  ExpectAllReplicasRead(4);
 }
 
 }  // namespace

@@ -19,8 +19,8 @@ struct SchedFixture : ::testing::Test {
                            SimTime) {
       reads_seen.push_back({txn, o, v.value});
     };
-    hooks.on_install = [this](NodeId n, const QuasiTxn& q, SimTime) {
-      installs.push_back({n, q.fragment, q.seq});
+    hooks.on_install = [this](NodeId n, const QuasiRef& q, SimTime) {
+      installs.push_back({n, q->fragment, q->seq});
     };
     Scheduler::Config cfg;
     cfg.exec_time = Micros(100);
@@ -175,7 +175,8 @@ TEST_F(SchedFixture, InstallAppliesQuasiAtomically) {
   q.origin_node = 3;
   q.writes = {{a, 55}};
   bool done = false;
-  sched->Install(q, 1000, [&] { done = true; });
+  sched->Install(MakeQuasiRef(q), 1000,
+                 [&](const QuasiRef& installed) { done = installed->seq == 1; });
   sim.RunToQuiescence();
   EXPECT_TRUE(done);
   EXPECT_EQ(store->Read(a), 55);
@@ -202,7 +203,8 @@ TEST_F(SchedFixture, InstallWaitsForLocalTransaction) {
   q.fragment = f0;
   q.seq = 2;
   q.writes = {{a, 9}};
-  sched->Install(q, 1000, [&] { install_done = sim.Now(); });
+  sched->Install(MakeQuasiRef(q), 1000,
+                 [&](const QuasiRef&) { install_done = sim.Now(); });
   sim.RunToQuiescence();
   EXPECT_GE(install_done, txn_done);
   EXPECT_EQ(store->Read(a), 9);  // install applied after the local commit
@@ -223,7 +225,12 @@ TEST_F(SchedFixture, PrepareDoesNotApplyUntilCommit) {
   ASSERT_TRUE(prep.status.ok());
   EXPECT_EQ(store->Read(a), 100);            // not yet applied
   EXPECT_GE(locks.held_count(), 1u);         // lock still held
-  sched->CommitPrepared(1, f0, prep.writes, 4, /*release_locks=*/true);
+  QuasiTxn q;
+  q.origin_txn = 1;
+  q.fragment = f0;
+  q.seq = 4;
+  q.writes = prep.writes;
+  sched->CommitPrepared(1, MakeQuasiRef(q), /*release_locks=*/true);
   EXPECT_EQ(store->Read(a), 200);
   EXPECT_EQ(store->Info(a).frag_seq, 4);
   EXPECT_EQ(locks.held_count(), 0u);

@@ -90,7 +90,7 @@ struct HistoryBuilder {
     q.fragment = f;
     q.seq = seq;
     q.writes = std::move(writes);
-    h.RecordInstall(0, q, 0);
+    h.RecordInstall(0, MakeQuasiRef(q), 0);
   }
   void Read(TxnId reader, ObjectId object, TxnId vwriter, SeqNum vseq,
             NodeId node = 0) {
@@ -241,8 +241,8 @@ TEST(LocalGraphTest, NonLocalSameTypeOrderedByInstallOrder) {
   q2.origin_txn = 11;
   q2.seq = 2;
   q2.writes = {{2, 5}};
-  b.h.RecordInstall(0, q1, 10);
-  b.h.RecordInstall(0, q2, 20);
+  b.h.RecordInstall(0, MakeQuasiRef(q1), 10);
+  b.h.RecordInstall(0, MakeQuasiRef(q2), 20);
   TxnGraph g = BuildLocalSerializationGraph(b.h, 0, rag, /*home=*/0);
   EXPECT_TRUE(g.HasEdge(10, 11));
   EXPECT_FALSE(g.HasEdge(11, 10));
