@@ -78,6 +78,44 @@ void BM_EventQueueSteadyChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSteadyChurn)->Arg(64)->Arg(4096);
 
+void BM_EventQueueBroadcastWave(benchmark::State& state) {
+  // One §4.3 commit on a 64-node cluster: the home's broadcast reaches its
+  // 63 replicas at one instant, and each delivery schedules its replica's
+  // install one fixed install time later. `depth` unrelated events (timers,
+  // other traffic) stay pending throughout, each rearming when it fires.
+  constexpr int kFanout = 63;
+  constexpr SimTime kLatency = 1000;
+  constexpr SimTime kInstall = 200;
+  constexpr uint64_t kHorizon = 100000;
+  const int depth = static_cast<int>(state.range(0));
+  Rng rng(3);
+  EventQueue q;
+  SimTime now = 0;
+  struct Rearm {
+    EventQueue* q;
+    SimTime* now;
+    Rng* rng;
+    void operator()() const {
+      q->Schedule(*now + 1 + static_cast<SimTime>(rng->NextBelow(kHorizon)),
+                  *this);
+    }
+  };
+  for (int i = 0; i < depth; ++i) Rearm{&q, &now, &rng}();
+  for (auto _ : state) {
+    const SimTime wave = now + kLatency;
+    for (int i = 0; i < kFanout; ++i) {
+      q.Schedule(wave, [&q, wave] { q.Schedule(wave + kInstall, [] {}); });
+    }
+    while (q.NextTime() <= wave + kInstall) {
+      auto fired = q.PopNext();
+      now = fired.time;
+      fired.fn();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kFanout);
+}
+BENCHMARK(BM_EventQueueBroadcastWave)->Arg(64)->Arg(4096);
+
 void BM_LockManagerSharedChurn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

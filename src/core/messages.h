@@ -1,6 +1,7 @@
 #ifndef FRAGDB_CORE_MESSAGES_H_
 #define FRAGDB_CORE_MESSAGES_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "cc/transaction.h"
@@ -8,6 +9,42 @@
 #include "net/message.h"
 
 namespace fragdb {
+
+/// Dispatch tag of each core protocol payload below (MessagePayload::
+/// Kind()). NodeRuntime::HandleMessage switches on it, so a message costs
+/// one virtual call to route instead of a dynamic_cast per payload type.
+enum class MessageKind : uint8_t {
+  kOther = 0,  // not a core payload: MessagePayload's default
+  kQuasiTxn,
+  kReadLockRequest,
+  kReadLockGrant,
+  kReadLockRelease,
+  kQuasiPrepare,
+  kQuasiAck,
+  kQuasiCommit,
+  kSeqQuery,
+  kSeqReply,
+  kFetchMissing,
+  kMissingData,
+  kM0,
+  kForwardMissing,
+  kQuorumReadRequest,
+  kQuorumReadReply,
+  kQuorumAppliedAck,
+  kPaxosAccept,
+  kPaxosAccepted,
+  kPaxosOutcome,
+  kRecoveryQuery,
+  kRecoveryReply,
+};
+
+/// Base of every core payload: ties the type to its tag, so a dispatcher
+/// can use `T::kKind` as a case label and `static_cast` to T.
+template <MessageKind K>
+struct CorePayload : MessagePayload {
+  static constexpr MessageKind kKind = K;
+  MessageKind Kind() const final { return K; }
+};
 
 /// Wire size of one quasi-transaction as carried by any message type:
 /// fixed header (ids, sequence, origin, timestamps) plus 16 bytes per
@@ -21,7 +58,7 @@ inline size_t QuasiTxnWireSize(const QuasiTxn& q) {
 /// node (§2.2: "(T; d1,v1; d2,v2; ...)"). Messages carry the commit's
 /// shared QuasiRef: the wire size is that of the full quasi-transaction,
 /// but no replica copies it.
-struct QuasiTxnMsg : MessagePayload {
+struct QuasiTxnMsg : CorePayload<MessageKind::kQuasiTxn> {
   const char* TypeName() const override { return "quasi"; }
   QuasiRef quasi;
   Epoch epoch = 0;
@@ -30,38 +67,38 @@ struct QuasiTxnMsg : MessagePayload {
 };
 
 /// §4.1 remote read-lock protocol.
-struct ReadLockRequest : MessagePayload {
+struct ReadLockRequest : CorePayload<MessageKind::kReadLockRequest> {
   const char* TypeName() const override { return "lock-request"; }
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
   NodeId requester = kInvalidNode;
 };
-struct ReadLockGrant : MessagePayload {
+struct ReadLockGrant : CorePayload<MessageKind::kReadLockGrant> {
   const char* TypeName() const override { return "lock-grant"; }
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
 };
-struct ReadLockRelease : MessagePayload {
+struct ReadLockRelease : CorePayload<MessageKind::kReadLockRelease> {
   const char* TypeName() const override { return "lock-release"; }
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
 };
 
 /// §4.4.1 majority-commit protocol: prepare / ack / commit.
-struct QuasiPrepare : MessagePayload {
+struct QuasiPrepare : CorePayload<MessageKind::kQuasiPrepare> {
   const char* TypeName() const override { return "prepare"; }
   QuasiRef quasi;
   Epoch epoch = 0;
   size_t ByteSize() const override { return QuasiTxnWireSize(*quasi); }
 };
-struct QuasiAck : MessagePayload {
+struct QuasiAck : CorePayload<MessageKind::kQuasiAck> {
   const char* TypeName() const override { return "ack"; }
   TxnId txn = kInvalidTxn;  // the prepared transaction being acknowledged
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
   NodeId acker = kInvalidNode;
 };
-struct QuasiCommit : MessagePayload {
+struct QuasiCommit : CorePayload<MessageKind::kQuasiCommit> {
   const char* TypeName() const override { return "commit"; }
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
@@ -69,20 +106,20 @@ struct QuasiCommit : MessagePayload {
 
 /// §4.4.1 move catch-up: the new home asks everyone how far the fragment's
 /// stream goes and fetches what it misses.
-struct SeqQuery : MessagePayload {
+struct SeqQuery : CorePayload<MessageKind::kSeqQuery> {
   const char* TypeName() const override { return "seq-query"; }
   FragmentId fragment = kInvalidFragment;
   NodeId requester = kInvalidNode;
   int64_t move_id = 0;
 };
-struct SeqReply : MessagePayload {
+struct SeqReply : CorePayload<MessageKind::kSeqReply> {
   const char* TypeName() const override { return "seq-reply"; }
   FragmentId fragment = kInvalidFragment;
   SeqNum applied_seq = 0;
   NodeId replier = kInvalidNode;
   int64_t move_id = 0;
 };
-struct FetchMissing : MessagePayload {
+struct FetchMissing : CorePayload<MessageKind::kFetchMissing> {
   const char* TypeName() const override { return "fetch-missing"; }
   FragmentId fragment = kInvalidFragment;
   SeqNum from_seq = 0;  // exclusive
@@ -90,7 +127,7 @@ struct FetchMissing : MessagePayload {
   NodeId requester = kInvalidNode;
   int64_t move_id = 0;
 };
-struct MissingData : MessagePayload {
+struct MissingData : CorePayload<MessageKind::kMissingData> {
   const char* TypeName() const override { return "missing-data"; }
   FragmentId fragment = kInvalidFragment;
   std::vector<QuasiRef> quasis;
@@ -105,7 +142,7 @@ struct MissingData : MessagePayload {
 /// §4.4.3 move announcement: "M0 = (T1, ..., Ti)", carrying the prefix of
 /// the old stream the new home has, so behind nodes can catch up, plus the
 /// new epoch metadata.
-struct M0Msg : MessagePayload {
+struct M0Msg : CorePayload<MessageKind::kM0> {
   const char* TypeName() const override { return "m0"; }
   FragmentId fragment = kInvalidFragment;
   NodeId new_home = kInvalidNode;
@@ -121,7 +158,7 @@ struct M0Msg : MessagePayload {
 
 /// §4.4.3: a third node forwards a missing old-stream transaction to the
 /// new home instead of processing it (protocol step B(2)).
-struct ForwardMissing : MessagePayload {
+struct ForwardMissing : CorePayload<MessageKind::kForwardMissing> {
   const char* TypeName() const override { return "forward-missing"; }
   QuasiRef quasi;
   Epoch old_epoch = 0;
@@ -130,7 +167,7 @@ struct ForwardMissing : MessagePayload {
 
 /// Quorum reads (ControlOption::kQuorum): the reading node asks each
 /// replica of a fragment for its current versions of the objects it wants.
-struct QuorumReadRequest : MessagePayload {
+struct QuorumReadRequest : CorePayload<MessageKind::kQuorumReadRequest> {
   const char* TypeName() const override { return "quorum-read"; }
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
@@ -140,7 +177,7 @@ struct QuorumReadRequest : MessagePayload {
 };
 
 /// One replica's versions: parallel arrays over the requested objects.
-struct QuorumReadReply : MessagePayload {
+struct QuorumReadReply : CorePayload<MessageKind::kQuorumReadReply> {
   const char* TypeName() const override { return "quorum-read-reply"; }
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
@@ -155,7 +192,7 @@ struct QuorumReadReply : MessagePayload {
 /// Quorum writes: a replica acknowledges that it has *installed* (not
 /// merely buffered) a quasi-transaction, so the origin can count it
 /// toward the write quorum W.
-struct QuorumAppliedAck : MessagePayload {
+struct QuorumAppliedAck : CorePayload<MessageKind::kQuorumAppliedAck> {
   const char* TypeName() const override { return "quorum-applied-ack"; }
   TxnId txn = kInvalidTxn;
   FragmentId fragment = kInvalidFragment;
@@ -166,7 +203,7 @@ struct QuorumAppliedAck : MessagePayload {
 /// Paxos Commit (MoveProtocol::kPaxosCommit): the proposer (ballot 0 =
 /// the coordinating home; higher ballots = recovery rounds) asks the
 /// fragment's replica set to accept the quasi-transaction at its slot.
-struct PaxosAccept : MessagePayload {
+struct PaxosAccept : CorePayload<MessageKind::kPaxosAccept> {
   const char* TypeName() const override { return "paxos-accept"; }
   uint64_t ballot = 0;
   QuasiRef quasi;
@@ -175,7 +212,7 @@ struct PaxosAccept : MessagePayload {
   size_t ByteSize() const override { return 16 + QuasiTxnWireSize(*quasi); }
 };
 
-struct PaxosAccepted : MessagePayload {
+struct PaxosAccepted : CorePayload<MessageKind::kPaxosAccepted> {
   const char* TypeName() const override { return "paxos-accepted"; }
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
@@ -186,7 +223,7 @@ struct PaxosAccepted : MessagePayload {
 /// The learned outcome, broadcast by whichever proposer first assembled an
 /// F+1 majority (and unicast to late proposers by already-decided
 /// acceptors).
-struct PaxosOutcome : MessagePayload {
+struct PaxosOutcome : CorePayload<MessageKind::kPaxosOutcome> {
   const char* TypeName() const override { return "paxos-outcome"; }
   FragmentId fragment = kInvalidFragment;
   SeqNum seq = 0;
@@ -203,7 +240,7 @@ struct RecoveryPosition {
 
 /// The recovering node asks every live peer for the stream suffix its
 /// durable state misses.
-struct RecoveryQuery : MessagePayload {
+struct RecoveryQuery : CorePayload<MessageKind::kRecoveryQuery> {
   const char* TypeName() const override { return "recovery-query"; }
   NodeId requester = kInvalidNode;
   int64_t recovery_id = 0;
@@ -221,7 +258,7 @@ struct RecoveryFragmentState {
   std::vector<QuasiRef> quasis;
 };
 
-struct RecoveryReply : MessagePayload {
+struct RecoveryReply : CorePayload<MessageKind::kRecoveryReply> {
   const char* TypeName() const override { return "recovery-reply"; }
   NodeId replier = kInvalidNode;
   int64_t recovery_id = 0;

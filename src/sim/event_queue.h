@@ -24,9 +24,20 @@ using EventId = int64_t;
 /// steady-state scheduling performs no allocation once the slab has grown
 /// to the simulation's high-water mark of pending events; the heap is a
 /// flat array of 16-byte (time, seq, slot) nodes rather than pointers.
-/// Cancelled entries are reclaimed lazily when they surface at the head,
-/// with a compaction pass once they outnumber half the heap so mass
-/// cancellation (retransmit timers, ack timeouts) cannot pin memory.
+///
+/// Same-time runs: a Schedule at the time of the most recently scheduled
+/// event that is still queued is linked behind that event instead of
+/// getting a heap node, so a broadcast wave (one delivery per replica at
+/// one instant) costs one heap push and one heap pop, not one per
+/// recipient. A run's events have consecutive insertion sequences, so no
+/// other event falls inside it and its node keeps the run's first sequence
+/// as its key while the head advances in place; the pop order stays
+/// exactly (time, insertion sequence).
+///
+/// Cancelled events are reclaimed lazily when they reach the head of their
+/// run at the heap root, with a compaction pass once they outnumber the
+/// live events, so mass cancellation (retransmit timers, ack timeouts)
+/// cannot pin memory.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -58,17 +69,20 @@ class EventQueue {
   };
   Fired PopNext();
 
-  /// Introspection for tests and benches: current heap length including
-  /// cancelled-but-unreclaimed nodes, and slab high-water mark.
+  /// Introspection for tests and benches: current heap length (one node
+  /// per same-time run, including runs whose events are all cancelled but
+  /// not yet reclaimed), and slab high-water mark.
   size_t heap_size() const { return heap_.size(); }
   size_t slab_capacity() const { return slab_size_; }
 
  private:
-  // 16-byte heap node: `key` packs (insertion sequence << 24 | slot), so
-  // comparing keys compares sequences (sequences are unique) and the slot
-  // rides along for free. The (time, key) order is total, which makes the
-  // pop sequence independent of heap arity or layout — determinism does
-  // not rest on any heap implementation detail.
+  // 16-byte heap node for one same-time run: `key` packs (the run's first
+  // insertion sequence << 24 | the slot of the run's head), so comparing
+  // keys compares sequences (sequences are unique) and the slot rides
+  // along for free. Advancing the head rewrites only the slot bits, which
+  // leaves the node's place in the heap valid. The (time, key) order is
+  // total, which makes the pop sequence independent of heap arity or
+  // layout — determinism does not rest on any heap implementation detail.
   struct HeapNode {
     SimTime time;
     uint64_t key;
@@ -81,11 +95,12 @@ class EventQueue {
   static constexpr uint64_t kSlotBits = 24;  // ≤16.7M concurrently pending
   static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
   static constexpr uint64_t kMaxSeq = uint64_t{1} << (64 - kSlotBits);
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
   struct Slot {
     EventFn fn;
     uint32_t gen = 0;
-    bool live = false;    // scheduled, not yet fired or cancelled
-    bool in_use = false;  // a heap node references this slot
+    uint32_t next = kNoSlot;  // next event of the same-time run
+    bool live = false;        // scheduled, not yet fired or cancelled
   };
 
   static EventId MakeId(uint32_t gen, uint32_t slot) {
@@ -104,15 +119,20 @@ class EventQueue {
 
   uint32_t AllocSlot();
   void ReleaseSlot(uint32_t slot);
-  /// Pops cancelled entries sitting at the head of the heap.
+  /// Moves the root's run past its head slot (which the caller has
+  /// consumed), popping the node once the run is exhausted. No sift: the
+  /// node's key keeps the run's first sequence.
+  void AdvanceRoot(uint32_t next);
+  /// Drops cancelled events sitting at the head of the root's run.
   void DropCancelledHead();
-  /// Rebuilds the heap without the cancelled nodes once they dominate.
+  /// Unlinks cancelled events from every run, and drops the nodes of
+  /// runs left empty, once cancelled events outnumber live ones.
   void MaybeCompact();
 
   // 4-ary min-heap: half the depth of a binary heap and four children per
   // cache line of nodes, which is what the large-queue case is bound by.
   void HeapPush(HeapNode node);
-  HeapNode HeapPop();
+  void HeapPop();
   void SiftDown(size_t i);
   void Heapify();
 
@@ -122,7 +142,12 @@ class EventQueue {
   std::vector<uint32_t> free_;
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
-  size_t cancelled_in_heap_ = 0;
+  size_t cancelled_in_heap_ = 0;  // cancelled events still linked in runs
+  // The most recently scheduled event while it is still queued (live or
+  // cancelled but not reclaimed), and its time: the tail of the only run
+  // a Schedule may extend.
+  uint32_t tail_slot_ = kNoSlot;
+  SimTime tail_time_ = 0;
 };
 
 }  // namespace fragdb

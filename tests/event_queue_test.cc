@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace fragdb {
@@ -222,6 +228,297 @@ TEST(EventQueueTest, MillionEventScheduleCancelStress) {
   // heap high-water marks are a small multiple of the live window.
   EXPECT_LE(q.slab_capacity(), static_cast<size_t>(8 * kWindow));
   EXPECT_LE(q.heap_size(), static_cast<size_t>(8 * kWindow));
+}
+
+TEST(EventQueueTest, BroadcastWaveIsOneHeapNode) {
+  // One §4.3 broadcast on a 64-node cluster: 63 deliveries at one instant.
+  EventQueue q;
+  for (int i = 0; i < 63; ++i) q.Schedule(100, [] {});
+  EXPECT_EQ(q.heap_size(), 1u);
+  EXPECT_EQ(q.size(), 63u);
+  for (int i = 0; i < 63; ++i) {
+    EXPECT_EQ(q.PopNext().time, 100);
+    EXPECT_EQ(q.heap_size(), i < 62 ? 1u : 0u);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, RunFiresInInsertionOrderAmongSameTimeEvents) {
+  // Events at the run's time scheduled before it (a separate node, since
+  // an event at another time broke the run) and after it (another node)
+  // fire around the run in insertion order.
+  EventQueue q;
+  std::vector<int> fired;
+  q.Schedule(10, [&] { fired.push_back(-1); });  // before
+  q.Schedule(20, [&] { fired.push_back(1000); });
+  for (int i = 0; i < 63; ++i) {
+    q.Schedule(10, [&fired, i] { fired.push_back(i); });
+  }
+  q.Schedule(20, [&] { fired.push_back(1001); });
+  q.Schedule(10, [&] { fired.push_back(63); });  // after
+  EXPECT_EQ(q.heap_size(), 5u);
+  while (!q.empty()) q.PopNext().fn();
+  std::vector<int> want = {-1};
+  for (int i = 0; i <= 63; ++i) want.push_back(i);
+  want.push_back(1000);
+  want.push_back(1001);
+  EXPECT_EQ(fired, want);
+}
+
+TEST(EventQueueTest, SameInstantSchedulesWhileDrainingJoinTheRun) {
+  // Each delivery of a wave schedules a follow-up at the same instant
+  // while the wave is still draining: the follow-ups extend the run and
+  // fire after every original member, in the order they were scheduled.
+  EventQueue q;
+  std::vector<int> fired;
+  for (int i = 0; i < 8; ++i) {
+    q.Schedule(5, [&q, &fired, i] {
+      fired.push_back(i);
+      q.Schedule(5, [&fired, i] { fired.push_back(100 + i); });
+    });
+  }
+  while (!q.empty()) {
+    EXPECT_EQ(q.heap_size(), 1u);
+    auto f = q.PopNext();
+    EXPECT_EQ(f.time, 5);
+    f.fn();
+  }
+  std::vector<int> want;
+  for (int i = 0; i < 8; ++i) want.push_back(i);
+  for (int i = 0; i < 8; ++i) want.push_back(100 + i);
+  EXPECT_EQ(fired, want);
+}
+
+TEST(EventQueueTest, CancelHeadMiddleAndTailOfRun) {
+  EventQueue q;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(q.Schedule(7, [&fired, i] { fired.push_back(i); }));
+  }
+  EXPECT_TRUE(q.Cancel(ids[0]));  // head
+  EXPECT_TRUE(q.Cancel(ids[2]));  // middle
+  EXPECT_TRUE(q.Cancel(ids[4]));  // tail
+  EXPECT_EQ(q.size(), 2u);
+  // The cancelled tail is still linked, so a new same-time event joins
+  // the run behind it.
+  q.Schedule(7, [&] { fired.push_back(5); });
+  EXPECT_EQ(q.heap_size(), 1u);
+  EXPECT_EQ(q.NextTime(), 7);
+  while (!q.empty()) q.PopNext().fn();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3, 5}));
+  EXPECT_EQ(q.heap_size(), 0u);
+  EXPECT_EQ(q.NextTime(), kSimTimeMax);
+}
+
+TEST(EventQueueTest, FullyCancelledRunIsSkipped) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10; ++i) ids.push_back(q.Schedule(3, [] {}));
+  q.Schedule(4, [] {});
+  for (EventId id : ids) EXPECT_TRUE(q.Cancel(id));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.NextTime(), 4);
+  EXPECT_EQ(q.heap_size(), 1u);
+  EXPECT_EQ(q.PopNext().time, 4);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, MassCancelInsideWideRunsStaysBoundedAndReleases) {
+  // Each round schedules a wide run far in the future and cancels every
+  // member but its first and last: the dead middles sit behind a live
+  // head that never reaches the root, so only compaction can reclaim
+  // them. The slab must stay bounded by the live events plus one round,
+  // not grow with the total, and cancelled captures die at once.
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  const int kWidth = 500;
+  const int kRounds = 200;
+  std::vector<EventId> ids;
+  for (int r = 0; r < kRounds; ++r) {
+    ids.clear();
+    for (int i = 0; i < kWidth; ++i) {
+      ids.push_back(q.Schedule(1000000 + r, [token] {}));
+    }
+    EXPECT_EQ(token.use_count(), static_cast<long>(q.size()) + 1);
+    for (int i = 1; i + 1 < kWidth; ++i) EXPECT_TRUE(q.Cancel(ids[i]));
+    EXPECT_EQ(q.size(), static_cast<size_t>(2 * (r + 1)));
+    EXPECT_EQ(token.use_count(), static_cast<long>(q.size()) + 1);
+  }
+  EXPECT_LE(q.slab_capacity(), static_cast<size_t>(4 * kWidth + 2 * kRounds));
+  EXPECT_EQ(q.heap_size(), static_cast<size_t>(kRounds));
+  SimTime last = -1;
+  while (!q.empty()) {
+    auto f = q.PopNext();
+    EXPECT_GE(f.time, last);
+    last = f.time;
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// Reference-model fuzz: random Schedule/Cancel/PopNext sequences with
+// heavy same-time collisions, same-instant schedules made by events of a
+// draining run, cancels aimed at run heads, tails and random members, and
+// cancel storms that force compaction over partly dead runs. The model is
+// the specification: a std::set of pending (time, insertion sequence).
+class EventQueueModelFuzz {
+ public:
+  explicit EventQueueModelFuzz(uint64_t seed) : rng_(seed * 2654435761u + 1) {}
+
+  void Run(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const uint64_t r = Rand(100);
+      if (r < 38 || model_.empty()) {
+        ScheduleOne(PickTime());
+      } else if (r < 73) {
+        Pop();
+      } else if (r < 83) {
+        CancelLive(Rand(3));
+      } else if (r < 88) {
+        CancelStale();
+      } else if (r < 89) {
+        Storm();
+      } else if (pending_.size() > 200) {
+        Pop();
+      } else {
+        ScheduleOne(tail_time_);  // extend the latest run
+      }
+      if (Rand(2) == 0) Check();
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(q_.size(), model_.size());
+    }
+    while (!model_.empty()) Pop();
+    Check();
+    EXPECT_TRUE(q_.empty());
+  }
+
+ private:
+  struct Pending {
+    SimTime time;
+    EventId id;
+  };
+
+  uint64_t Rand(uint64_t bound) {
+    rng_ ^= rng_ << 13;
+    rng_ ^= rng_ >> 7;
+    rng_ ^= rng_ << 17;
+    return rng_ % bound;
+  }
+
+  // Times cluster on a handful of instants near the clock, so runs form,
+  // break and interleave constantly.
+  SimTime PickTime() { return now_ + static_cast<SimTime>(Rand(4)); }
+
+  void ScheduleOne(SimTime when) {
+    const uint64_t seq = next_seq_++;
+    EventId id = q_.Schedule(when, [this, seq] { OnFire(seq); });
+    model_.emplace(when, seq);
+    pending_[seq] = Pending{when, id};
+    tail_time_ = when;
+  }
+
+  void OnFire(uint64_t seq) {
+    fired_seq_ = seq;
+    // Same-instant schedules while the run is draining.
+    if (Rand(4) == 0) {
+      const int n = 1 + static_cast<int>(Rand(3));
+      for (int i = 0; i < n; ++i) ScheduleOne(now_);
+    }
+  }
+
+  void Pop() {
+    ASSERT_FALSE(model_.empty());
+    auto [time, seq] = *model_.begin();
+    model_.erase(model_.begin());
+    const EventId id = pending_.at(seq).id;
+    pending_.erase(seq);
+    EventQueue::Fired f = q_.PopNext();
+    ASSERT_EQ(f.time, time);
+    ASSERT_EQ(f.id, id);
+    now_ = time;
+    fired_seq_ = UINT64_MAX;
+    f.fn();
+    ASSERT_EQ(fired_seq_, seq);
+    retired_.push_back(id);
+  }
+
+  // how: 0 = earliest pending (the head of the root's run), 1 = the most
+  // recently scheduled pending event (a run tail), 2 = a random one.
+  void CancelLive(uint64_t how) {
+    if (pending_.empty()) return;
+    uint64_t seq;
+    if (how == 0) {
+      seq = model_.begin()->second;
+    } else if (how == 1) {
+      seq = pending_.rbegin()->first;
+    } else {
+      auto it = pending_.begin();
+      std::advance(it, static_cast<long>(Rand(pending_.size())));
+      seq = it->first;
+    }
+    const Pending p = pending_.at(seq);
+    ASSERT_TRUE(q_.Cancel(p.id));
+    ASSERT_FALSE(q_.Cancel(p.id));
+    model_.erase({p.time, seq});
+    pending_.erase(seq);
+    retired_.push_back(p.id);
+    // Compaction counts events: cancelled ones never outnumber the live
+    // ones (beyond a small constant) once a Cancel returns.
+    ASSERT_LE(q_.heap_size(), 2 * q_.size() + 64);
+  }
+
+  // A stale id (fired or cancelled, its slot most likely recycled) must
+  // not cancel the slot's new occupant.
+  void CancelStale() {
+    if (retired_.empty()) return;
+    EventId id = retired_[Rand(retired_.size())];
+    ASSERT_FALSE(q_.Cancel(id));
+  }
+
+  // A wide same-time run, most of it cancelled again: pushes cancelled
+  // events past the live ones so compaction runs over partly dead runs.
+  void Storm() {
+    const SimTime when = now_ + static_cast<SimTime>(Rand(4));
+    const uint64_t first = next_seq_;
+    const int width = 100 + static_cast<int>(Rand(200));
+    for (int i = 0; i < width; ++i) ScheduleOne(when);
+    for (uint64_t seq = first; seq < next_seq_; ++seq) {
+      if (Rand(10) != 0 && pending_.count(seq) != 0) {
+        const Pending p = pending_.at(seq);
+        ASSERT_TRUE(q_.Cancel(p.id));
+        model_.erase({p.time, seq});
+        pending_.erase(seq);
+        retired_.push_back(p.id);
+      }
+    }
+    for (int i = 0; i < 60; ++i) CancelLive(2);
+  }
+
+  void Check() {
+    ASSERT_EQ(q_.size(), model_.size());
+    ASSERT_EQ(q_.empty(), model_.empty());
+    ASSERT_EQ(q_.NextTime(),
+              model_.empty() ? kSimTimeMax : model_.begin()->first);
+  }
+
+  uint64_t rng_;
+  EventQueue q_;
+  std::set<std::pair<SimTime, uint64_t>> model_;
+  std::map<uint64_t, Pending> pending_;
+  std::vector<EventId> retired_;
+  uint64_t next_seq_ = 0;
+  uint64_t fired_seq_ = UINT64_MAX;
+  SimTime now_ = 0;
+  SimTime tail_time_ = 0;
+};
+
+TEST(EventQueueTest, ReferenceModelFuzz) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    EventQueueModelFuzz fuzz(seed);
+    fuzz.Run(5000);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
