@@ -14,6 +14,7 @@
 
 #include "bench_harness.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 #include "verify/checkers.h"
@@ -40,10 +41,10 @@ RowResult RunOnce(SimTime lock_timeout) {
   std::vector<ObjectId> objs;
   std::vector<AgentId> agents;
   for (int i = 0; i < 4; ++i) {
-    FragmentId f = cluster.DefineFragment("F" + std::to_string(i));
+    FragmentId f = cluster.DefineFragment(Numbered("F", i));
     frags.push_back(f);
-    objs.push_back(*cluster.DefineObject(f, "o" + std::to_string(i), 0));
-    AgentId a = cluster.DefineUserAgent("a" + std::to_string(i));
+    objs.push_back(*cluster.DefineObject(f, Numbered("o", i), 0));
+    AgentId a = cluster.DefineUserAgent(Numbered("a", i));
     agents.push_back(a);
     if (!cluster.AssignToken(f, a).ok()) std::abort();
     if (!cluster.SetAgentHome(a, i).ok()) std::abort();

@@ -18,6 +18,7 @@
 #include "baselines/mutual_exclusion.h"
 #include "baselines/optimistic.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "verify/checkers.h"
 #include "workload/synthetic.h"
 
@@ -206,7 +207,7 @@ Catalog MakeBaselineCatalog() {
   Catalog catalog;
   FragmentId f = catalog.AddFragment("ALL");
   for (int i = 0; i < kNodes; ++i) {
-    (void)*catalog.AddObject(f, "o" + std::to_string(i), 0);
+    (void)*catalog.AddObject(f, Numbered("o", i), 0);
   }
   return catalog;
 }

@@ -11,6 +11,7 @@
 
 #include "baselines/log_transform.h"
 #include "bench_harness.h"
+#include "common/strings.h"
 #include "verify/checkers.h"
 #include "workload/synthetic.h"
 
@@ -60,7 +61,7 @@ RowResult RunLogTransform(int txns_per_node) {
   FragmentId f = catalog.AddFragment("ALL");
   std::vector<ObjectId> objs;
   for (int i = 0; i < kNodes; ++i) {
-    objs.push_back(*catalog.AddObject(f, "o" + std::to_string(i), 0));
+    objs.push_back(*catalog.AddObject(f, Numbered("o", i), 0));
   }
   LogTransformEngine eng(&catalog, Topology::FullMesh(kNodes, Millis(5)));
   (void)eng.Partition({{0, 1}, {2, 3}});

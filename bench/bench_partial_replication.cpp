@@ -11,6 +11,7 @@
 
 #include "bench_harness.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/cluster.h"
 #include "verify/checkers.h"
 
@@ -36,10 +37,10 @@ RowResult RunOnce(int replication_factor) {
   std::vector<AgentId> agents;
   Rng rng(13);
   for (int i = 0; i < kNodes; ++i) {
-    FragmentId f = cluster.DefineFragment("F" + std::to_string(i));
+    FragmentId f = cluster.DefineFragment(Numbered("F", i));
     frags.push_back(f);
-    objs.push_back(*cluster.DefineObject(f, "o" + std::to_string(i), 0));
-    AgentId a = cluster.DefineUserAgent("a" + std::to_string(i));
+    objs.push_back(*cluster.DefineObject(f, Numbered("o", i), 0));
+    AgentId a = cluster.DefineUserAgent(Numbered("a", i));
     agents.push_back(a);
     if (!cluster.AssignToken(f, a).ok()) std::abort();
     if (!cluster.SetAgentHome(a, i).ok()) std::abort();

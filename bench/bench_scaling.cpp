@@ -26,6 +26,7 @@
 #include "baselines/mutual_exclusion.h"
 #include "bench_harness.h"
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/sharded_cluster.h"
 #include "verify/checkers.h"
 #include "workload/metrics.h"
@@ -64,10 +65,10 @@ RowResult RunOnce(int nodes) {
     std::vector<AgentId> agents;
     std::vector<FragmentId> frags;
     for (int i = 0; i < nodes; ++i) {
-      FragmentId f = cluster.DefineFragment("F" + std::to_string(i));
+      FragmentId f = cluster.DefineFragment(Numbered("F", i));
       frags.push_back(f);
-      objs.push_back(*cluster.DefineObject(f, "o" + std::to_string(i), 0));
-      AgentId a = cluster.DefineUserAgent("a" + std::to_string(i));
+      objs.push_back(*cluster.DefineObject(f, Numbered("o", i), 0));
+      AgentId a = cluster.DefineUserAgent(Numbered("a", i));
       agents.push_back(a);
       if (!cluster.AssignToken(f, a).ok()) std::abort();
       if (!cluster.SetAgentHome(a, i).ok()) std::abort();
@@ -103,7 +104,7 @@ RowResult RunOnce(int nodes) {
     FragmentId f = catalog.AddFragment("ALL");
     std::vector<ObjectId> objs;
     for (int i = 0; i < nodes; ++i) {
-      objs.push_back(*catalog.AddObject(f, "o" + std::to_string(i), 0));
+      objs.push_back(*catalog.AddObject(f, Numbered("o", i), 0));
     }
     MutualExclusionEngine eng(&catalog,
                               Topology::FullMesh(nodes, Millis(5)));

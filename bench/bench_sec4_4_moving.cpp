@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "bench_harness.h"
+#include "common/strings.h"
 #include "core/cluster.h"
 #include "verify/checkers.h"
 
@@ -43,7 +44,7 @@ RowResult RunOnce(MoveProtocol protocol) {
   FragmentId frag = cluster.DefineFragment("F");
   std::vector<ObjectId> objs;
   for (int i = 0; i < 4; ++i) {
-    objs.push_back(*cluster.DefineObject(frag, "o" + std::to_string(i), 0));
+    objs.push_back(*cluster.DefineObject(frag, Numbered("o", i), 0));
   }
   AgentId agent = cluster.DefineUserAgent("mover");
   (void)cluster.AssignToken(frag, agent);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/strings.h"
+
 namespace fragdb {
 
 AuditReport AuditRun(const Cluster& cluster) {
@@ -19,13 +21,13 @@ AuditReport AuditRun(const Cluster& cluster) {
     CheckReport p1 = CheckProperty1(index, f);
     if (!p1.ok) {
       if (report.fragmentwise.ok) report.fragmentwise = p1;
-      report.fragment_failures.push_back("F" + std::to_string(f) + " P1: " +
+      report.fragment_failures.push_back(Numbered("F", f) + " P1: " +
                                          p1.detail);
     }
     CheckReport p2 = CheckProperty2(index, f);
     if (!p2.ok) {
       if (report.fragmentwise.ok) report.fragmentwise = p2;
-      report.fragment_failures.push_back("F" + std::to_string(f) + " P2: " +
+      report.fragment_failures.push_back(Numbered("F", f) + " P2: " +
                                          p2.detail);
     }
   }

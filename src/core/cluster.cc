@@ -293,7 +293,12 @@ Status Cluster::Start() {
   ack_waits_.resize(topology_.node_count());
   quorum_write_waits_.resize(topology_.node_count());
   quorum_read_waits_.resize(topology_.node_count());
-  paxos_acceptors_.resize(topology_.node_count());
+  // Slot tables only under Paxos Commit: a 64-node cell would otherwise
+  // build 4,096 tables that nothing touches.
+  paxos_slots_.assign(topology_.node_count(), {});
+  if (config_.move_protocol == MoveProtocol::kPaxosCommit) {
+    for (auto& tables : paxos_slots_) tables.resize(catalog_.fragment_count());
+  }
   paxos_waits_.resize(topology_.node_count());
   paxos_indoubt_.resize(topology_.node_count());
   if (parallel_) {
@@ -1117,7 +1122,7 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
         QuasiRef quasi = MakeQuasiRef(std::move(value));
 
         const auto key = std::make_pair(wf, seq);
-        PaxosInstance& inst = paxos_acceptors_[node][key];
+        PaxosInstance& inst = paxos_slots_[node][wf].Get(seq);
         inst.value = quasi;
         inst.epoch = stream.epoch;
         inst.prepared_txn = id;
@@ -1130,13 +1135,13 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
         // commit — it is never abandoned (the non-blocking property).
         inst.client_timeout = engine_->AfterNode(
             node, config_.majority_ack_timeout, [this, node, key] {
-              auto& shard = paxos_acceptors_[node];
-              auto it = shard.find(key);
-              if (it == shard.end() || it->second.decided) return;
-              Trace("fail", node, key.first, it->second.prepared_txn,
-                    key.second, "paxos outcome pending recovery");
+              PaxosSlots& slots = paxos_slots_[node][key.first];
+              PaxosInstance* inst = slots.live.Find(key.second);
+              if (inst == nullptr || slots.decided.Test(key.second)) return;
+              Trace("fail", node, key.first, inst->prepared_txn, key.second,
+                    "paxos outcome pending recovery");
               FinishPaxosClient(
-                  node, it->second,
+                  node, *inst,
                   Status::Unavailable(
                       "paxos majority not reached; outcome pending "
                       "recovery"));
@@ -1160,14 +1165,14 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
         accept->epoch = stream.epoch;
         accept->proposer = node;
         auto broadcast = [this, node, wf, id, seq, accept] {
-          auto& shard = paxos_acceptors_[node];
-          auto it = shard.find(std::make_pair(wf, seq));
+          const PaxosSlots& slots = paxos_slots_[node][wf];
+          const PaxosInstance* inst = slots.live.Find(seq);
           // An amnesia crash inside the fsync window wiped the slot (and
           // possibly re-filled it for a different txn): the accepts were
           // never sent, so the seq is genuinely free for reuse. A downed
           // node stays silent; revival re-arms the recovery rounds.
-          if (it == shard.end() || it->second.prepared_txn != id ||
-              it->second.decided || !topology_.IsNodeUp(node)) {
+          if (inst == nullptr || inst->prepared_txn != id ||
+              slots.decided.Test(seq) || !topology_.IsNodeUp(node)) {
             return;
           }
           Status st = SendToReplicas(node, wf, accept);
@@ -1196,8 +1201,8 @@ void Cluster::ExecutePaxosCommit(TxnId id, NodeId node, const TxnSpec& spec,
 void Cluster::OnPaxosAccept(NodeId node, NodeId from, const PaxosAccept& msg) {
   (void)from;
   const auto key = std::make_pair(msg.quasi->fragment, msg.quasi->seq);
-  PaxosInstance& inst = paxos_acceptors_[node][key];
-  if (inst.decided) {
+  PaxosSlots& slots = paxos_slots_[node][key.first];
+  if (slots.decided.Test(key.second)) {
     // Late proposer of an already-learned slot: teach it the outcome.
     auto out = std::make_shared<PaxosOutcome>();
     out->fragment = key.first;
@@ -1205,6 +1210,7 @@ void Cluster::OnPaxosAccept(NodeId node, NodeId from, const PaxosAccept& msg) {
     network_->Send(node, msg.proposer, out);
     return;
   }
+  PaxosInstance& inst = slots.Get(key.second);
   if (msg.ballot < inst.max_ballot) return;  // stale proposer
   inst.max_ballot = msg.ballot;
   if (inst.value == nullptr) {
@@ -1240,26 +1246,27 @@ void Cluster::OnPaxosAccepted(NodeId node, const PaxosAccepted& msg) {
 }
 
 void Cluster::OnPaxosOutcome(NodeId node, const PaxosOutcome& msg) {
-  const auto key = std::make_pair(msg.fragment, msg.seq);
-  auto& shard = paxos_acceptors_[node];
-  auto it = shard.find(key);
-  if (it == shard.end()) {
+  PaxosSlots& slots = paxos_slots_[node][msg.fragment];
+  if (slots.live.Find(msg.seq) == nullptr) {
     // Outcome learned before (or without) the value: remember it; the
     // contents arrive through the ordinary catch-up paths (gap repair,
     // crash recovery), which carry the installed stream.
-    shard[key].decided = true;
+    slots.decided.Set(msg.seq);
     return;
   }
   PaxosDecide(node, msg.fragment, msg.seq);
 }
 
 void Cluster::PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq) {
-  auto& shard = paxos_acceptors_[node];
-  auto it = shard.find({fragment, seq});
-  if (it == shard.end()) return;
-  PaxosInstance& inst = it->second;
-  if (inst.decided) return;
-  inst.decided = true;
+  PaxosSlots& slots = paxos_slots_[node][fragment];
+  PaxosInstance* live = slots.live.Find(seq);
+  if (live == nullptr || slots.decided.Test(seq)) return;
+  // The slot collapses to its decided bit. The instance moves out first:
+  // applying the value and the client callbacks may start new commits at
+  // this node, which insert into the same table.
+  PaxosInstance inst = std::move(*live);
+  slots.live.Erase(seq);
+  slots.decided.Set(seq);
   paxos_waits_[node].erase({fragment, seq});
   FRAGDB_CHECK(inst.value != nullptr);
   const TxnId txn = inst.value->origin_txn;
@@ -1292,23 +1299,24 @@ void Cluster::FinishPaxosClient(NodeId node, PaxosInstance& inst,
                                 Status status) {
   if (!inst.done) return;
   if (status.ok()) engine_->CancelNode(node, inst.client_timeout);
-  inst.result->status = std::move(status);
-  inst.result->finished_at = engine_->Now();
+  std::shared_ptr<TxnResult> result = inst.result;
+  result->status = std::move(status);
+  result->finished_at = engine_->Now();
   auto after = std::move(inst.after);
   auto done = std::move(inst.done);
   inst.after = nullptr;
   inst.done = nullptr;
   if (after) after();
-  done(*inst.result);
+  done(*result);
 }
 
 void Cluster::SchedulePaxosRecovery(NodeId node, FragmentId fragment,
                                     SeqNum seq) {
-  auto& shard = paxos_acceptors_[node];
-  auto it = shard.find({fragment, seq});
-  if (it == shard.end() || it->second.decided) return;
-  if (it->second.recovery_armed) return;
-  it->second.recovery_armed = true;
+  PaxosSlots& slots = paxos_slots_[node][fragment];
+  PaxosInstance* inst = slots.live.Find(seq);
+  if (inst == nullptr || slots.decided.Test(seq)) return;
+  if (inst->recovery_armed) return;
+  inst->recovery_armed = true;
   engine_->AfterNode(node, config_.paxos_recovery_timeout,
                      [this, node, fragment, seq] {
                        PaxosRecoveryTick(node, fragment, seq);
@@ -1317,14 +1325,11 @@ void Cluster::SchedulePaxosRecovery(NodeId node, FragmentId fragment,
 
 void Cluster::PaxosRecoveryTick(NodeId node, FragmentId fragment,
                                 SeqNum seq) {
-  auto& shard = paxos_acceptors_[node];
-  auto it = shard.find({fragment, seq});
-  if (it == shard.end()) return;  // wiped by an amnesia crash
-  PaxosInstance& inst = it->second;
-  if (inst.decided) {
-    inst.recovery_armed = false;
-    return;
-  }
+  PaxosSlots& slots = paxos_slots_[node][fragment];
+  PaxosInstance* live = slots.live.Find(seq);
+  // Decided, or wiped by an amnesia crash.
+  if (live == nullptr || slots.decided.Test(seq)) return;
+  PaxosInstance& inst = *live;
   if (inst.strikes >= kPaxosMaxStrikes) {
     // Give up until connectivity changes (ReschedulePaxosRecovery re-arms
     // on heal / link-up / revival), so quiescence stays reachable.
@@ -1396,17 +1401,19 @@ void Cluster::ReschedulePaxosRecovery() {
   if (!started_ || config_.move_protocol != MoveProtocol::kPaxosCommit) {
     return;
   }
-  for (NodeId n = 0; n < static_cast<NodeId>(paxos_acceptors_.size()); ++n) {
+  for (NodeId n = 0; n < static_cast<NodeId>(paxos_slots_.size()); ++n) {
     if (!topology_.IsNodeUp(n) || amnesia_down_[n]) continue;
-    for (auto& [key, inst] : paxos_acceptors_[n]) {
-      if (inst.decided || inst.value == nullptr) continue;
-      inst.strikes = 0;
-      if (inst.recovery_armed) continue;
-      inst.recovery_armed = true;
-      const FragmentId f = key.first;
-      const SeqNum s = key.second;
-      engine_->AfterNode(n, config_.paxos_recovery_timeout,
-                         [this, n, f, s] { PaxosRecoveryTick(n, f, s); });
+    for (FragmentId f = 0; f < static_cast<FragmentId>(paxos_slots_[n].size());
+         ++f) {
+      PaxosSlots& slots = paxos_slots_[n][f];
+      for (auto& [s, inst] : slots.live) {
+        if (inst.value == nullptr || slots.decided.Test(s)) continue;
+        inst.strikes = 0;
+        if (inst.recovery_armed) continue;
+        inst.recovery_armed = true;
+        engine_->AfterNode(n, config_.paxos_recovery_timeout,
+                           [this, n, f, s = s] { PaxosRecoveryTick(n, f, s); });
+      }
     }
   }
 }
@@ -1427,18 +1434,27 @@ CheckReport Cluster::CheckCommitNonBlocking() const {
       }
     }
   }
-  for (NodeId n = 0; n < static_cast<NodeId>(paxos_acceptors_.size()); ++n) {
-    for (const auto& [key, inst] : paxos_acceptors_[n]) {
-      if (inst.decided || inst.value == nullptr) continue;
-      return CheckReport::Fail(
-          "N" + std::to_string(n) + " holds an undecided Paxos slot (F" +
-              std::to_string(key.first) + " seq " +
-              std::to_string(key.second) + ") for T" +
-              std::to_string(inst.value->origin_txn),
-          {inst.value->origin_txn});
+  for (NodeId n = 0; n < static_cast<NodeId>(paxos_slots_.size()); ++n) {
+    for (FragmentId f = 0; f < static_cast<FragmentId>(paxos_slots_[n].size());
+         ++f) {
+      const PaxosSlots& slots = paxos_slots_[n][f];
+      for (const auto& [s, inst] : slots.live) {
+        if (inst.value == nullptr || slots.decided.Test(s)) continue;
+        return CheckReport::Fail(
+            "N" + std::to_string(n) + " holds an undecided Paxos slot (F" +
+                std::to_string(f) + " seq " + std::to_string(s) + ") for T" +
+                std::to_string(inst.value->origin_txn),
+            {inst.value->origin_txn});
+      }
     }
   }
   return CheckReport::Pass();
+}
+
+size_t Cluster::PaxosLiveSlots(NodeId node) const {
+  size_t n = 0;
+  for (const PaxosSlots& slots : paxos_slots_[node]) n += slots.live.size();
+  return n;
 }
 
 int Cluster::ReadQuorumFor(FragmentId fragment) const {
@@ -1713,10 +1729,13 @@ Status Cluster::CrashNode(NodeId node, CrashMode mode) {
     engine_->CancelNode(node, wait.timeout_event);
   }
   quorum_read_waits_[node].clear();
-  for (auto& [key, inst] : paxos_acceptors_[node]) {
-    engine_->CancelNode(node, inst.client_timeout);
+  for (PaxosSlots& slots : paxos_slots_[node]) {
+    for (auto& [seq, inst] : slots.live) {
+      engine_->CancelNode(node, inst.client_timeout);
+    }
+    slots.live.clear();
+    slots.decided.Clear();
   }
-  paxos_acceptors_[node].clear();
   paxos_waits_[node].clear();
   paxos_indoubt_[node].clear();  // re-derived from the WAL at revival
   // Remote read-lock waits this node initiated: mark abandoned so a late
@@ -1812,8 +1831,8 @@ void Cluster::OnLocalReplayDone(NodeId node) {
         ++sit;
         continue;
       }
-      auto ait = paxos_acceptors_[node].find({it->first, *sit});
-      if (ait != paxos_acceptors_[node].end()) ait->second.decided = true;
+      PaxosSlots& paxos = paxos_slots_[node][it->first];
+      if (paxos.live.Erase(*sit)) paxos.decided.Set(*sit);
       sit = slots.erase(sit);
     }
     it = slots.empty() ? frags.erase(it) : std::next(it);
@@ -1824,7 +1843,7 @@ void Cluster::OnLocalReplayDone(NodeId node) {
 void Cluster::NotePaxosInDoubt(NodeId node, const QuasiRef& quasi,
                                Epoch epoch) {
   paxos_indoubt_[node][quasi->fragment].insert(quasi->seq);
-  PaxosInstance& inst = paxos_acceptors_[node][{quasi->fragment, quasi->seq}];
+  PaxosInstance& inst = paxos_slots_[node][quasi->fragment].Get(quasi->seq);
   if (inst.value == nullptr) {
     inst.value = quasi;
     inst.epoch = epoch;

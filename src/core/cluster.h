@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cc/transaction.h"
@@ -14,6 +15,8 @@
 #include "common/types.h"
 #include "core/config.h"
 #include "core/node.h"
+#include "core/seq_bitset.h"
+#include "core/seq_map.h"
 #include "net/broadcast.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -271,6 +274,9 @@ class Cluster {
   /// classical 2PC blocking window); Paxos Commit's recovery rounds are
   /// required to clear them. Fails with the stuck (node, fragment, seq).
   CheckReport CheckCommitNonBlocking() const;
+  /// Paxos slots `node` holds a live instance for, over all fragments:
+  /// the slots it has seen and not yet learned decided. Test introspection.
+  size_t PaxosLiveSlots(NodeId node) const;
 
   /// Effective read/write quorum of `fragment` under ControlOption::kQuorum:
   /// the configured value, or a majority of the fragment's replica set when
@@ -425,10 +431,10 @@ class Cluster {
   /// prepared transaction and the client callback. The consensus value of
   /// a slot is fixed (only the home proposes at ballot 0; recovery
   /// proposers re-propose the value they hold), so F+1 accepts at any
-  /// ballot decide commit.
+  /// ballot decide commit. A slot is decided at a node once its bit is
+  /// set in PaxosSlots::decided; deciding erases the instance.
   struct PaxosInstance {
     uint64_t max_ballot = 0;
-    bool decided = false;
     QuasiRef value;  // nullptr until this node learns the slot's value
     Epoch epoch = 0;
     /// Origin home only: the scheduler-prepared transaction to commit on
@@ -448,6 +454,25 @@ class Cluster {
     TxnCallback done;
     std::function<void()> after;
     EventId client_timeout = -1;
+  };
+  // Live tables move instances as they grow and shrink; a throwing move
+  // would make the vector copy client callbacks instead.
+  static_assert(std::is_nothrow_move_constructible_v<PaxosInstance>);
+  /// One (node, fragment)'s Paxos slots: a live instance per slot seen and
+  /// not yet decided here (or, rarely, created after its decision and so
+  /// decided from the start), in seq order, in storage reused from slot to
+  /// slot; and one bit per slot decided here. Whether a slot is decided is
+  /// the bit alone — not the applied prefix: a slot installed through
+  /// catch-up without being seen still accepts a late proposer.
+  struct PaxosSlots {
+    SeqMap<PaxosInstance> live;
+    SeqBitset decided;
+
+    /// The slot's live instance, created empty when absent.
+    PaxosInstance& Get(SeqNum seq) {
+      PaxosInstance* inst = live.Find(seq);
+      return inst != nullptr ? *inst : live.Put(seq, PaxosInstance{});
+    }
   };
   /// A proposer counting PaxosAccepted votes for one (fragment, seq) slot
   /// at one ballot. Carries no client state — that lives in the home's
@@ -509,6 +534,8 @@ class Cluster {
   /// quasi-transaction into the ordinary install pipeline.
   void PaxosDecide(NodeId node, FragmentId fragment, SeqNum seq);
   /// Fires the home's client callback for a decided/timed-out slot (once).
+  /// `inst` is not touched once the callbacks run: they may start new
+  /// commits, which can move the live instances of the same table.
   void FinishPaxosClient(NodeId node, PaxosInstance& inst, Status status);
   /// Arms (once) the per-slot recovery timer at `node`.
   void SchedulePaxosRecovery(NodeId node, FragmentId fragment, SeqNum seq);
@@ -570,9 +597,9 @@ class Cluster {
   std::vector<std::map<TxnId, QuorumWriteWait>> quorum_write_waits_;
   /// kQuorum read gathers, sharded by the requesting node.
   std::vector<std::map<TxnId, QuorumReadWait>> quorum_read_waits_;
-  /// Paxos Commit consensus slots, sharded by node (acceptor + home state).
-  std::vector<std::map<std::pair<FragmentId, SeqNum>, PaxosInstance>>
-      paxos_acceptors_;
+  /// Paxos Commit consensus slots (acceptor + home state), sharded by node
+  /// and indexed by fragment.
+  std::vector<std::vector<PaxosSlots>> paxos_slots_;
   /// Paxos proposer vote counts, sharded by the proposing node.
   std::vector<std::map<std::pair<FragmentId, SeqNum>, PaxosWait>>
       paxos_waits_;

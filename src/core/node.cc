@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/cluster.h"
 #include "recovery/node_durability.h"
 #include "recovery/recovery_manager.h"
@@ -250,7 +251,7 @@ void NodeRuntime::OnInstalled(FragmentId f, const QuasiRef& quasi) {
   }
   if (cluster_->tracing_active()) {
     cluster_->Trace("install", id_, f, quasi->origin_txn, quasi->seq,
-                    "T" + std::to_string(quasi->origin_txn) +
+                    Numbered("T", quasi->origin_txn) +
                         " seq=" + std::to_string(quasi->seq) + " at N" +
                         std::to_string(id_));
   }

@@ -54,6 +54,9 @@ class SeqMap {
     }
     return nullptr;
   }
+  T* Find(SeqNum seq) {
+    return const_cast<T*>(static_cast<const SeqMap&>(*this).Find(seq));
+  }
 
   /// Inserts or overwrites the entry for `seq`. Appends in O(1) when
   /// `seq` is past the current back (the common, in-order case).

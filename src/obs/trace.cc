@@ -121,7 +121,8 @@ std::string Tracer::ToChromeJson() const {
   std::string out = "{\"traceEvents\":[";
   for (size_t i = 0; i < events_.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\n" + TraceEventToJsonLine(events_[i]);
+    out += '\n';
+    out += TraceEventToJsonLine(events_[i]);
   }
   out += "\n]}";
   return out;

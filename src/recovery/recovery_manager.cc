@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/cluster.h"
 #include "recovery/checkpoint.h"
 #include "recovery/node_durability.h"
@@ -153,7 +154,7 @@ void RecoveryManager::SendQueries(NodeId node, Session* session) {
   }
   if (cluster_->tracing_active()) {
     cluster_->Trace("catch-up-start", node, kInvalidFragment, kInvalidTxn, 0,
-                    "N" + std::to_string(node) + " querying " +
+                    Numbered("N", node) + " querying " +
                         std::to_string(session->stats.peers_queried) +
                         " peers");
   }
@@ -264,7 +265,7 @@ void RecoveryManager::FinishSession(NodeId node, int64_t id) {
   }
   cluster_->Trace(
       "recover", node, kInvalidFragment, kInvalidTxn, 0,
-      "N" + std::to_string(node) + " replayed " +
+      Numbered("N", node) + " replayed " +
           std::to_string(session.stats.wal_records_replayed) + " wal + " +
           std::to_string(session.stats.peer_quasis_fetched) + " peer quasis");
 

@@ -25,10 +25,16 @@ void EventQueue::ReleaseSlot(uint32_t slot) {
   Slot& s = SlotAt(slot);
   s.fn.Reset();
   s.live = false;
-  s.next = kNoSlot;
   ++s.gen;
   free_.push_back(slot);
-  if (slot == tail_slot_) tail_slot_ = kNoSlot;
+  // A remembered tail is the last event of its run: only such a slot can
+  // be one.
+  if (s.next == kNoSlot) {
+    for (Tail& t : tails_) {
+      if (t.slot == slot) t.slot = kNoSlot;
+    }
+  }
+  s.next = kNoSlot;
 }
 
 void EventQueue::HeapPush(HeapNode node) {
@@ -98,17 +104,21 @@ EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   Slot& s = SlotAt(slot);
   s.fn = std::move(fn);
   s.live = true;
-  if (tail_slot_ != kNoSlot && when == tail_time_) {
-    // The previous Schedule's event is still queued at this very time:
-    // join its run. Nothing was scheduled in between, so the run's
-    // sequences stay consecutive.
-    SlotAt(tail_slot_).next = slot;
+  size_t i = 0;
+  while (i < kTails && (tails_[i].time != when || tails_[i].slot == kNoSlot)) {
+    ++i;
+  }
+  if (i < kTails) {
+    // The latest event queued at this very time: join its run.
+    SlotAt(tails_[i].slot).next = slot;
   } else {
     HeapPush(HeapNode{when, (next_seq_ << kSlotBits) | slot});
+    // Evict the least recently used time; its run is never extended again.
+    i = kTails - 1;
   }
+  for (; i > 0; --i) tails_[i] = tails_[i - 1];
+  tails_[0] = Tail{when, slot};
   ++next_seq_;
-  tail_slot_ = slot;
-  tail_time_ = when;
   ++live_count_;
   return MakeId(s.gen, slot);
 }

@@ -25,14 +25,19 @@ using EventId = int64_t;
 /// to the simulation's high-water mark of pending events; the heap is a
 /// flat array of 16-byte (time, seq, slot) nodes rather than pointers.
 ///
-/// Same-time runs: a Schedule at the time of the most recently scheduled
-/// event that is still queued is linked behind that event instead of
-/// getting a heap node, so a broadcast wave (one delivery per replica at
-/// one instant) costs one heap push and one heap pop, not one per
-/// recipient. A run's events have consecutive insertion sequences, so no
-/// other event falls inside it and its node keeps the run's first sequence
-/// as its key while the head advances in place; the pop order stays
-/// exactly (time, insertion sequence).
+/// Same-time runs: the queue remembers the tails of the kTails most
+/// recently scheduled distinct times. A Schedule at one of those times is
+/// linked behind that time's tail instead of getting a heap node, so a
+/// broadcast wave (one delivery per replica at one instant) costs one heap
+/// push and one heap pop, not one per recipient — even when every member
+/// also arms a timer at another instant (Paxos acceptors answer at +5 ms
+/// and arm recovery at +100 ms). A run's node keeps its first sequence as
+/// its key while the head advances in place, and the pop order stays
+/// exactly (time, insertion sequence): a run is only ever extended from
+/// the latest queued event at its time, so every event at that time
+/// scheduled after the run's head joins the run, and an event that finds
+/// no remembered tail starts a run whose sequence exceeds every member of
+/// the older runs at its time, which are never extended again.
 ///
 /// Cancelled events are reclaimed lazily when they reach the head of their
 /// run at the heap root, with a compaction pass once they outnumber the
@@ -96,6 +101,9 @@ class EventQueue {
   static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
   static constexpr uint64_t kMaxSeq = uint64_t{1} << (64 - kSlotBits);
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+  /// Remembered run tails: enough for a wave's deliveries, its members'
+  /// timers and a stray event or two to interleave without splitting.
+  static constexpr size_t kTails = 4;
   struct Slot {
     EventFn fn;
     uint32_t gen = 0;
@@ -143,11 +151,15 @@ class EventQueue {
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
   size_t cancelled_in_heap_ = 0;  // cancelled events still linked in runs
-  // The most recently scheduled event while it is still queued (live or
-  // cancelled but not reclaimed), and its time: the tail of the only run
-  // a Schedule may extend.
-  uint32_t tail_slot_ = kNoSlot;
-  SimTime tail_time_ = 0;
+  // For each of the kTails most recently scheduled distinct times, most
+  // recent first: the latest event scheduled at that time while it is
+  // still queued (live or cancelled but not reclaimed) — the tail of the
+  // only run at that time a Schedule may extend. kNoSlot once reclaimed.
+  struct Tail {
+    SimTime time = 0;
+    uint32_t slot = kNoSlot;
+  };
+  Tail tails_[kTails];
 };
 
 }  // namespace fragdb

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace fragdb {
 
@@ -109,7 +110,7 @@ CheckReport CheckProperty2(const HistoryIndex& index, FragmentId fragment) {
       }
       if (saw && missed) {
         return CheckReport::Fail(
-            "T" + std::to_string(reader) + " saw a partial effect of T" +
+            Numbered("T", reader) + " saw a partial effect of T" +
                 std::to_string(w) + " on F" + std::to_string(fragment),
             {reader, w});
       }

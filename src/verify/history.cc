@@ -116,7 +116,8 @@ const TxnRecord* History::FindTxn(TxnId id) const {
 std::string History::DebugString() const {
   std::string out;
   for (const auto& [id, rec] : txns_) {
-    out += "T" + std::to_string(id);
+    out += 'T';
+    out += std::to_string(id);
     if (!rec.label.empty()) out += " \"" + rec.label + "\"";
     out += rec.read_only ? " [ro]" : "";
     if (rec.type_fragment != kInvalidFragment) {

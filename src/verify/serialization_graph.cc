@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace fragdb {
 
@@ -65,8 +66,9 @@ std::string TxnGraph::ToDot(const History* history) const {
   std::set<TxnId> hot(cycle.begin(), cycle.end());
   std::string out = "digraph gsg {\n";
   for (const auto& [v, edges] : adj_) {
-    out += "  T" + std::to_string(v);
-    std::string label = "T" + std::to_string(v);
+    out += "  T";
+    out += std::to_string(v);
+    std::string label = Numbered("T", v);
     if (history != nullptr) {
       const TxnRecord* rec = history->FindTxn(v);
       if (rec != nullptr) {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace fragdb {
 
@@ -23,7 +24,7 @@ Status AirlineWorkload::Start() {
   request_.resize(options_.customers);
   grant_.resize(options_.customers);
   for (int i = 0; i < options_.customers; ++i) {
-    std::string name = "C" + std::to_string(i);
+    std::string name = Numbered("C", i);
     FragmentId frag = c.DefineFragment(name);
     c_frag_.push_back(frag);
     AgentId agent = c.DefineUserAgent("customer/" + std::to_string(i));

@@ -1,10 +1,12 @@
 #include "workload/synthetic.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "verify/checkers.h"
 
 namespace fragdb {
@@ -24,7 +26,7 @@ SyntheticWorkload::SyntheticWorkload(const SyntheticOptions& options)
 Status SyntheticWorkload::Start() {
   Cluster& c = *cluster_;
   for (int i = 0; i < options_.nodes; ++i) {
-    FragmentId frag = c.DefineFragment("F" + std::to_string(i));
+    FragmentId frag = c.DefineFragment(Numbered("F", i));
     fragments_.push_back(frag);
     AgentId agent = c.DefineUserAgent("agent" + std::to_string(i));
     agents_.push_back(agent);
@@ -33,7 +35,7 @@ Status SyntheticWorkload::Start() {
     objects_.emplace_back();
     for (int k = 0; k < options_.objects_per_fragment; ++k) {
       Result<ObjectId> obj = c.DefineObject(
-          frag, "o" + std::to_string(i) + "_" + std::to_string(k), 0);
+          frag, Numbered("o", i) + "_" + std::to_string(k), 0);
       if (!obj.ok()) return obj.status();
       objects_[i].push_back(*obj);
     }
@@ -101,9 +103,11 @@ void SyntheticWorkload::SubmitOne(int agent_index) {
     ObjectId target = own;
     spec.body = [target](const std::vector<Value>& reads)
         -> Result<std::vector<WriteOp>> {
-      Value sum = 0;
-      for (Value v : reads) sum += v;
-      return std::vector<WriteOp>{{target, sum + 1}};
+      // Modular: values compound over a long run, and a signed sum
+      // would overflow.
+      uint64_t sum = 1;
+      for (Value v : reads) sum += static_cast<uint64_t>(v);
+      return std::vector<WriteOp>{{target, static_cast<Value>(sum)}};
     };
   }
   SimTime submitted_at = cluster_->Now();

@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "common/strings.h"
+
 namespace fragdb {
 namespace {
 
@@ -32,7 +34,7 @@ struct AuditFixture : ::testing::Test {
     spec.agent = agent;
     spec.write_fragment = f;
     spec.read_set = reads;
-    spec.label = "w" + std::to_string(v);
+    spec.label = Numbered("w", v);
     spec.body = [obj, v](const std::vector<Value>&)
         -> Result<std::vector<WriteOp>> {
       return std::vector<WriteOp>{{obj, v}};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -244,9 +246,9 @@ TEST(EventQueueTest, BroadcastWaveIsOneHeapNode) {
 }
 
 TEST(EventQueueTest, RunFiresInInsertionOrderAmongSameTimeEvents) {
-  // Events at the run's time scheduled before it (a separate node, since
-  // an event at another time broke the run) and after it (another node)
-  // fire around the run in insertion order.
+  // Events at times 10 and 20 interleave. Both times keep a remembered
+  // tail, so each time is one run (one heap node) and every event at a
+  // time fires in insertion order.
   EventQueue q;
   std::vector<int> fired;
   q.Schedule(10, [&] { fired.push_back(-1); });  // before
@@ -256,12 +258,60 @@ TEST(EventQueueTest, RunFiresInInsertionOrderAmongSameTimeEvents) {
   }
   q.Schedule(20, [&] { fired.push_back(1001); });
   q.Schedule(10, [&] { fired.push_back(63); });  // after
-  EXPECT_EQ(q.heap_size(), 5u);
+  EXPECT_EQ(q.heap_size(), 2u);
   while (!q.empty()) q.PopNext().fn();
   std::vector<int> want = {-1};
   for (int i = 0; i <= 63; ++i) want.push_back(i);
   want.push_back(1000);
   want.push_back(1001);
+  EXPECT_EQ(fired, want);
+}
+
+TEST(EventQueueTest, InterleavedDeliveryAndTimerWavesAreTwoHeapNodes) {
+  // 32 Paxos acceptors each answer at +5 ms and arm a recovery timer at
+  // +100 ms: the two alternating times each form one run.
+  EventQueue q;
+  std::vector<int> fired;
+  for (int i = 0; i < 32; ++i) {
+    q.Schedule(5, [&fired, i] { fired.push_back(i); });
+    q.Schedule(100, [&fired, i] { fired.push_back(100 + i); });
+  }
+  EXPECT_EQ(q.heap_size(), 2u);
+  EXPECT_EQ(q.size(), 64u);
+  while (!q.empty()) q.PopNext().fn();
+  std::vector<int> want;
+  for (int i = 0; i < 32; ++i) want.push_back(i);
+  for (int i = 0; i < 32; ++i) want.push_back(100 + i);
+  EXPECT_EQ(fired, want);
+}
+
+TEST(EventQueueTest, EvictedTailStartsANewRunThatFiresAfterTheOldOne) {
+  // Five interleaved times against four remembered tails: every round of
+  // schedules evicts the oldest time, so each event starts a new run.
+  // Runs at one time still fire in insertion order, and times in order.
+  EventQueue q;
+  std::vector<std::pair<SimTime, int>> fired;
+  const int kTimes = 5;
+  int n = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (int t = 0; t < kTimes; ++t) {
+      const SimTime when = 10 * (t + 1);
+      q.Schedule(when, [&fired, when, n] { fired.emplace_back(when, n); });
+      ++n;
+    }
+  }
+  EXPECT_EQ(q.heap_size(), static_cast<size_t>(3 * kTimes));
+  // A time that is still remembered joins its run.
+  q.Schedule(50, [&fired, n] { fired.emplace_back(50, n); });
+  EXPECT_EQ(q.heap_size(), static_cast<size_t>(3 * kTimes));
+  while (!q.empty()) q.PopNext().fn();
+  std::vector<std::pair<SimTime, int>> want;
+  for (int t = 0; t < kTimes; ++t) {
+    for (int round = 0; round < 3; ++round) {
+      want.emplace_back(10 * (t + 1), round * kTimes + t);
+    }
+  }
+  want.emplace_back(50, n);
   EXPECT_EQ(fired, want);
 }
 
@@ -381,7 +431,10 @@ class EventQueueModelFuzz {
       } else if (pending_.size() > 200) {
         Pop();
       } else {
-        ScheduleOne(tail_time_);  // extend the latest run
+        // Extend one of the recently scheduled times' runs, or not: more
+        // distinct times than the queue remembers tails for, so joins and
+        // evictions interleave.
+        ScheduleOne(recent_[Rand(kRecent)]);
       }
       if (Rand(2) == 0) Check();
       if (::testing::Test::HasFatalFailure()) return;
@@ -405,16 +458,20 @@ class EventQueueModelFuzz {
     return rng_ % bound;
   }
 
-  // Times cluster on a handful of instants near the clock, so runs form,
-  // break and interleave constantly.
-  SimTime PickTime() { return now_ + static_cast<SimTime>(Rand(4)); }
+  // Times cluster on a handful of instants near the clock (more than the
+  // queue's remembered tails), so runs form, break, get evicted and
+  // interleave constantly.
+  SimTime PickTime() { return now_ + static_cast<SimTime>(Rand(7)); }
 
   void ScheduleOne(SimTime when) {
     const uint64_t seq = next_seq_++;
     EventId id = q_.Schedule(when, [this, seq] { OnFire(seq); });
     model_.emplace(when, seq);
     pending_[seq] = Pending{when, id};
-    tail_time_ = when;
+    if (std::find(recent_.begin(), recent_.end(), when) == recent_.end()) {
+      std::rotate(recent_.rbegin(), recent_.rbegin() + 1, recent_.rend());
+      recent_[0] = when;
+    }
   }
 
   void OnFire(uint64_t seq) {
@@ -509,7 +566,9 @@ class EventQueueModelFuzz {
   uint64_t next_seq_ = 0;
   uint64_t fired_seq_ = UINT64_MAX;
   SimTime now_ = 0;
-  SimTime tail_time_ = 0;
+  // The last kRecent distinct times scheduled at, most recent first.
+  static constexpr size_t kRecent = 6;
+  std::array<SimTime, kRecent> recent_{};
 };
 
 TEST(EventQueueTest, ReferenceModelFuzz) {

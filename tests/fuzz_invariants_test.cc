@@ -10,6 +10,7 @@
 
 #include "cc/lock_manager.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/cluster.h"
 #include "net/broadcast.h"
 #include "workload/banking.h"
@@ -240,10 +241,10 @@ TEST_P(AmnesiaCrashFuzz, RandomCrashRecoveryCyclesStayConsistent) {
   std::vector<ObjectId> objs;
   std::vector<AgentId> agents;
   for (int i = 0; i < kFragments; ++i) {
-    FragmentId f = cluster.DefineFragment("F" + std::to_string(i));
+    FragmentId f = cluster.DefineFragment(Numbered("F", i));
     frags.push_back(f);
-    objs.push_back(*cluster.DefineObject(f, "o" + std::to_string(i), 0));
-    AgentId a = cluster.DefineUserAgent("a" + std::to_string(i));
+    objs.push_back(*cluster.DefineObject(f, Numbered("o", i), 0));
+    AgentId a = cluster.DefineUserAgent(Numbered("a", i));
     agents.push_back(a);
     ASSERT_TRUE(cluster.AssignToken(f, a).ok());
     ASSERT_TRUE(cluster.SetAgentHome(a, i).ok());

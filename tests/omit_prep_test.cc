@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/cluster.h"
 #include "verify/checkers.h"
 
@@ -23,8 +24,7 @@ struct OmitPrepFixture : ::testing::Test {
         config, Topology::FullMesh(nodes, Millis(5)));
     frag = cluster->DefineFragment("F");
     for (int i = 0; i < 3; ++i) {
-      objs.push_back(*cluster->DefineObject(frag, "o" + std::to_string(i),
-                                            0));
+      objs.push_back(*cluster->DefineObject(frag, Numbered("o", i), 0));
     }
     agent = cluster->DefineUserAgent("mover");
     ASSERT_TRUE(cluster->AssignToken(frag, agent).ok());

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/cluster.h"
+#include "core/messages.h"
 #include "recovery/wal.h"
+#include "scenario/library.h"
+#include "scenario/runner.h"
 #include "sim/engine.h"
 #include "verify/checkers.h"
 
@@ -68,12 +72,14 @@ TEST(PaxosWalTest, PaxosSlotRecordRoundTrips) {
 
 struct PaxosCommitFixture : ::testing::Test {
   void Build(MoveProtocol protocol, bool durable = false,
-             EngineConfig engine = EngineConfig{}) {
+             EngineConfig engine = EngineConfig{},
+             SimTime gap_repair_interval = 0) {
     ClusterConfig config;
     config.control = ControlOption::kFragmentwise;
     config.move_protocol = protocol;
     config.durability.enabled = durable;
     config.engine = engine;
+    config.gap_repair_interval = gap_repair_interval;
     cluster =
         std::make_unique<Cluster>(config, Topology::FullMesh(5, Millis(5)));
     frag = cluster->DefineFragment("F");
@@ -97,7 +103,45 @@ struct PaxosCommitFixture : ::testing::Test {
       if (out) *out = r;
     });
   }
+  // Sends a Paxos message as if `from` had sent it.
+  void Inject(NodeId from, NodeId to,
+              std::shared_ptr<const MessagePayload> payload) {
+    ASSERT_TRUE(cluster->network().Send(from, to, std::move(payload)).ok());
+  }
+  // A recovery-round re-proposal, by `proposer`, of the first slot the
+  // home proposed since WatchReplies().
+  std::shared_ptr<PaxosAccept> RecoveryAccept(NodeId proposer) {
+    EXPECT_NE(first_accept, nullptr);
+    auto accept = std::make_shared<PaxosAccept>(*first_accept);
+    accept->ballot = 7;
+    accept->proposer = proposer;
+    return accept;
+  }
+  // Records the first accept and the Paxos replies each node receives.
+  void WatchReplies() {
+    outcomes.clear();
+    accepteds.clear();
+    cluster->network().SetDeliveryObserver([this](const Message& m) {
+      if (m.payload->Kind() == MessageKind::kPaxosAccept && !first_accept) {
+        first_accept = std::static_pointer_cast<const PaxosAccept>(m.payload);
+      } else if (m.payload->Kind() == MessageKind::kPaxosOutcome) {
+        outcomes.push_back(m.to);
+      } else if (m.payload->Kind() == MessageKind::kPaxosAccepted) {
+        accepteds.push_back(m.to);
+      }
+    });
+  }
+  size_t MaxLiveSlots() const {
+    size_t most = 0;
+    for (NodeId n = 0; n < 5; ++n) {
+      most = std::max(most, cluster->PaxosLiveSlots(n));
+    }
+    return most;
+  }
   std::unique_ptr<Cluster> cluster;
+  std::vector<NodeId> outcomes;
+  std::vector<NodeId> accepteds;
+  std::shared_ptr<const PaxosAccept> first_accept;
   FragmentId frag;
   ObjectId x;
   AgentId agent;
@@ -277,6 +321,154 @@ TEST_F(PaxosCommitFixture, PaxosCommitRunsOnParallelEngine) {
   }
   EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
   EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
+}
+
+// --- The slot table: decided slots collapse to one bit -------------------
+
+TEST_F(PaxosCommitFixture, DecidedSlotsLeaveNoLiveInstance) {
+  Build(MoveProtocol::kPaxosCommit);
+  for (int i = 0; i < 20; ++i) Update(1);
+  cluster->RunToQuiescence();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 20) << "node " << n;
+    EXPECT_EQ(cluster->PaxosLiveSlots(n), 0u) << "node " << n;
+  }
+}
+
+TEST_F(PaxosCommitFixture, LiveTableIsBoundedByInFlightSlots) {
+  // Steady load: the live table holds the slots in flight, so a run ten
+  // times longer peaks no higher. (Before decided slots were erased, the
+  // peak was every slot the run ever saw.)
+  auto peak = [this](int updates) {
+    Build(MoveProtocol::kPaxosCommit);
+    size_t most = 0;
+    for (int i = 0; i < updates; ++i) {
+      Update(1);
+      cluster->RunFor(Millis(3));
+      most = std::max(most, MaxLiveSlots());
+    }
+    cluster->RunToQuiescence();
+    EXPECT_EQ(cluster->ReadAt(4, x), updates);
+    EXPECT_EQ(MaxLiveSlots(), 0u);
+    return most;
+  };
+  const size_t short_peak = peak(30);
+  const size_t long_peak = peak(300);
+  EXPECT_GT(short_peak, 0u);
+  EXPECT_LT(short_peak, 30u);
+  EXPECT_LE(long_peak, short_peak);
+}
+
+TEST(PaxosSlotTableTest, FlappingSplitLeavesNoLiveSlots) {
+  Result<Scenario> scenario = NamedScenario("flapping_split");
+  ASSERT_TRUE(scenario.ok());
+  for (uint64_t seed : {1ull, 2ull, 3ull}) {
+    ScenarioRunOptions opt;
+    opt.seed = seed;
+    opt.move_protocol = MoveProtocol::kPaxosCommit;
+    ScenarioRunner runner(*scenario, opt);
+    ASSERT_TRUE(runner.Start().ok());
+    ScenarioCellReport report = runner.Run();
+    EXPECT_TRUE(report.ok()) << report.failure_detail;
+    EXPECT_GT(report.metrics.committed, 0);
+    for (NodeId n = 0; n < opt.nodes; ++n) {
+      EXPECT_EQ(runner.cluster().PaxosLiveSlots(n), 0u)
+          << "seed " << seed << " node " << n;
+    }
+  }
+}
+
+TEST_F(PaxosCommitFixture, RecoveryAcceptForPrunedSlotGetsTheOutcome) {
+  Build(MoveProtocol::kPaxosCommit);
+  WatchReplies();
+  Update(7);
+  cluster->RunToQuiescence();
+  // A late recovery proposer re-proposes the decided, pruned slot at
+  // every other node: each still knows it decided.
+  auto accept = RecoveryAccept(3);
+  WatchReplies();
+  for (NodeId n : {0, 1, 2, 4}) Inject(3, n, accept);
+  cluster->RunToQuiescence();
+  EXPECT_EQ(outcomes, std::vector<NodeId>(4, 3));
+  EXPECT_TRUE(accepteds.empty());
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->PaxosLiveSlots(n), 0u) << "node " << n;
+    EXPECT_EQ(cluster->ReadAt(n, x), 7) << "node " << n;
+  }
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
+}
+
+TEST_F(PaxosCommitFixture, OutcomeBeforeValueThenCatchUpInstalls) {
+  Build(MoveProtocol::kPaxosCommit, /*durable=*/false, EngineConfig{},
+        /*gap_repair_interval=*/Millis(20));
+  // The majority side decides slot 1; the accepts for nodes 3 and 4 wait
+  // in the network until the heal.
+  ASSERT_TRUE(cluster->Partition({{0, 1, 2}, {3, 4}}).ok());
+  Update(7);
+  cluster->RunToQuiescence();
+  ASSERT_EQ(cluster->ReadAt(0, x), 7);
+  // Node 4 learns the outcome before it ever sees the value: one bit, no
+  // live instance, nothing installed yet.
+  auto outcome = std::make_shared<PaxosOutcome>();
+  outcome->fragment = frag;
+  outcome->seq = 1;
+  Inject(3, 4, outcome);
+  cluster->RunToQuiescence();
+  EXPECT_EQ(cluster->PaxosLiveSlots(4), 0u);
+  EXPECT_EQ(cluster->ReadAt(4, x), 0);
+  // The queued ballot-0 accepts now arrive. Node 3 accepts; node 4 knows
+  // the slot decided, so it answers the home with the outcome and makes
+  // no entry. The next commit's gap brings slot 1's contents.
+  WatchReplies();
+  cluster->HealAll();
+  cluster->RunToQuiescence();
+  EXPECT_EQ(cluster->PaxosLiveSlots(4), 0u);
+  EXPECT_EQ(std::count(outcomes.begin(), outcomes.end(), 0), 1);
+  EXPECT_EQ(std::count(accepteds.begin(), accepteds.end(), 0), 1);
+  TxnResult next;
+  Update(3, &next);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(next.status.ok()) << next.status.ToString();
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->ReadAt(n, x), 10) << "node " << n;
+    EXPECT_EQ(cluster->PaxosLiveSlots(n), 0u) << "node " << n;
+  }
+  EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
+  EXPECT_TRUE(CheckCommitAtomicity(cluster->history()).ok);
+  EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
+}
+
+TEST_F(PaxosCommitFixture, AmnesiaClearsTheDecidedSet) {
+  Build(MoveProtocol::kPaxosCommit, /*durable=*/true);
+  WatchReplies();
+  Update(7);
+  cluster->RunToQuiescence();
+  ASSERT_TRUE(cluster->CrashNode(2, CrashMode::kAmnesia).ok());
+  EXPECT_EQ(cluster->PaxosLiveSlots(2), 0u);
+  ASSERT_TRUE(cluster->ReviveNode(2).ok());
+  cluster->RunToQuiescence();
+  EXPECT_EQ(cluster->ReadAt(2, x), 7);
+  // The wiped acceptor treats a late recovery accept as new: it accepts
+  // (a node that kept its decided bit answers with the outcome), and its
+  // own recovery round then learns the outcome again.
+  auto accept = RecoveryAccept(3);
+  WatchReplies();
+  Inject(3, 2, accept);
+  cluster->RunFor(Millis(6));  // one 5 ms hop
+  EXPECT_EQ(cluster->PaxosLiveSlots(2), 1u);
+  cluster->RunToQuiescence();
+  EXPECT_EQ(accepteds, std::vector<NodeId>{3});
+  EXPECT_EQ(std::count(outcomes.begin(), outcomes.end(), 3), 0);
+  WatchReplies();
+  Inject(3, 2, accept);
+  cluster->RunToQuiescence();
+  EXPECT_EQ(outcomes, std::vector<NodeId>{3});
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(cluster->PaxosLiveSlots(n), 0u) << "node " << n;
+    EXPECT_EQ(cluster->ReadAt(n, x), 7) << "node " << n;
+  }
+  EXPECT_TRUE(CheckMutualConsistency(cluster->Replicas()).ok);
   EXPECT_TRUE(cluster->CheckCommitNonBlocking().ok);
 }
 

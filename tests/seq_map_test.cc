@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
+
+#include "core/seq_bitset.h"
 
 namespace fragdb {
 namespace {
@@ -104,6 +107,55 @@ TEST(SeqMapTest, EraseOfTheBackKeepsLookupsExact) {
   EXPECT_FALSE(m.Erase(3));
   EXPECT_EQ(m.UpperBound(1)->seq, 2);
   EXPECT_EQ(m.UpperBound(2), m.end());
+}
+
+// SeqBitset: the decided set of a Paxos slot table, one bit per seq with
+// the fully set prefix dropped.
+TEST(SeqBitsetTest, TestsExactlyTheSetSeqs) {
+  SeqBitset b;
+  EXPECT_FALSE(b.Test(1));
+  for (SeqNum s : {3, 64, 65, 200}) b.Set(s);
+  for (SeqNum s = 1; s <= 300; ++s) {
+    const bool want = s == 3 || s == 64 || s == 65 || s == 200;
+    EXPECT_EQ(b.Test(s), want) << s;
+  }
+  b.Clear();
+  EXPECT_FALSE(b.Test(3));
+  EXPECT_EQ(b.words(), 0u);
+}
+
+TEST(SeqBitsetTest, InOrderPrefixIsDroppedAndAGapPinsTheRest) {
+  SeqBitset b;
+  for (SeqNum s = 1; s <= 100000; ++s) b.Set(s);
+  EXPECT_LE(b.words(), 1u);
+  EXPECT_TRUE(b.Test(1));
+  EXPECT_TRUE(b.Test(100000));
+  EXPECT_FALSE(b.Test(100001));
+  // A seq never set stops the drop: one bit per later seq.
+  for (SeqNum s = 100002; s <= 110000; ++s) b.Set(s);
+  EXPECT_FALSE(b.Test(100001));
+  EXPECT_TRUE(b.Test(100002));
+  EXPECT_LE(b.words(), 10000u / 64 + 2);
+  b.Set(100001);  // filled: everything before the last word drops again
+  EXPECT_LE(b.words(), 1u);
+  for (SeqNum s = 99990; s <= 110000; ++s) EXPECT_TRUE(b.Test(s)) << s;
+  EXPECT_FALSE(b.Test(110001));
+}
+
+TEST(SeqBitsetTest, OutOfOrderSetsMatchAReferenceSet) {
+  SeqBitset b;
+  std::vector<bool> want(5000, false);
+  uint64_t r = 7;
+  for (int i = 0; i < 20000; ++i) {
+    r ^= r << 13;
+    r ^= r >> 7;
+    r ^= r << 17;
+    // Mostly near an advancing front, sometimes far behind it.
+    const SeqNum s = 1 + static_cast<SeqNum>((i / 5 + r % 64) % 4999);
+    b.Set(s);
+    want[s] = true;
+  }
+  for (SeqNum s = 1; s < 5000; ++s) EXPECT_EQ(b.Test(s), want[s]) << s;
 }
 
 }  // namespace
